@@ -79,6 +79,13 @@ def _emit(text: str, path: str | None) -> None:
         raise
 
 
+def _parse_int(token: str, raw: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ParameterError(f"{token.strip()!r} in {raw!r} is not an integer") from None
+
+
 def _parse_identities(raw: str) -> list[int]:
     """Accepts comma-separated values and a..b ranges, e.g. '1..6' or '1,2,9'."""
     out: list[int] = []
@@ -86,16 +93,16 @@ def _parse_identities(raw: str) -> list[int]:
         token = token.strip()
         if ".." in token:
             lo, hi = token.split("..", 1)
-            out.extend(range(int(lo), int(hi) + 1))
+            out.extend(range(_parse_int(lo, raw), _parse_int(hi, raw) + 1))
         elif token:
-            out.append(int(token))
+            out.append(_parse_int(token, raw))
     if not out:
         raise ParameterError(f"no identities in {raw!r}")
     return out
 
 
 def _parse_int_list(raw: str) -> list[int]:
-    return [int(tok) for tok in raw.split(",") if tok.strip()]
+    return [_parse_int(tok, raw) for tok in raw.split(",") if tok.strip()]
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
@@ -262,12 +269,15 @@ def _cmd_deal(args: argparse.Namespace) -> int:
 
 def _load_shares(path: str) -> tuple[SchemeConfig, dict[int, int]]:
     with open(path) as handle:
-        doc = json.load(handle)
+        try:
+            doc = json.load(handle)
+        except ValueError as exc:
+            raise ParameterError(f"shares file {path} is not JSON: {exc}") from exc
     try:
         p = int(doc["p"])
         t = int(doc["t"])
         pairs = {int(e["id"]): int(e["share"]) for e in doc["participants"]}
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParameterError(f"malformed shares file {path}: {exc}") from exc
     cfg = SchemeConfig(t=t, field=PrimeField(p), identities=tuple(pairs))
     return cfg, pairs

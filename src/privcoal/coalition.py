@@ -12,18 +12,24 @@ Two independent characterizations are implemented:
 They agree on every input (the window test with the conventions
 tau_0 = 1 and tau_w = 0 for w > r encodes exactly the row-space
 condition); the test suite verifies the equivalence exhaustively.
+
+Enumeration does not test every r-subset: `privileged_tracks` walks the
+(r-1)-prefixes and solves the window equations for the last identity.
+Privilege is monotone under supersets, so minimal coalitions and
+unextended t-subsets are decided by containment of the privileged
+coalitions one length shorter (`contains_privileged`).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import linalg
 from .errors import ParameterError
 from .field import PrimeField
-from .symfun import Track, elem_sym_all
+from .symfun import Track, as_track, elem_sym_all
 
 
 def valid_lengths(t: int, j: int) -> list[int]:
@@ -44,8 +50,7 @@ def enumerate_tracks(r: int, n_max: int) -> Iterator[Track]:
     return itertools.combinations(range(1, n_max + 1), r)
 
 
-def _check_predicate_args(track: Track, t: int, j: int, field: PrimeField) -> None:
-    r = len(track)
+def _check_predicate_args(r: int, t: int, j: int, field: PrimeField) -> None:
     if r >= t:
         raise ParameterError(f"coalition length {r} must be below the threshold {t}")
     if t > field.p:
@@ -62,7 +67,7 @@ def is_privileged(track: Track, t: int, j: int, field: PrimeField) -> bool:
     for j outside [t-r, r-1] (the window escapes [1, r] with the same
     effect).
     """
-    _check_predicate_args(track, t, j, field)
+    _check_predicate_args(len(track), t, j, field)
     r = len(track)
     if j < t - r or j > r - 1:
         return False
@@ -76,7 +81,7 @@ def privileged_rank_oracle(track: Track, t: int, j: int, field: PrimeField) -> b
     Builds the r x t power matrix with rows (1, l, ..., l^(t-1)) and asks
     whether the j-th unit vector lies in its row space.
     """
-    _check_predicate_args(track, t, j, field)
+    _check_predicate_args(len(track), t, j, field)
     p = field.p
     rows = [[pow(l, v, p) for v in range(t)] for l in track]
     unit = [0] * t
@@ -96,7 +101,7 @@ def extension_condition(
     hold in the full t x t solve, so their vanishing is what lets a
     privileged coalition recover a_j without extra shares.
     """
-    _check_predicate_args(track, t, j, field)
+    _check_predicate_args(len(track), t, j, field)
     r = len(track)
     if len(ext) != t - r:
         raise ParameterError(
@@ -123,6 +128,73 @@ def extension_condition(
         if acc % p:
             return False
     return True
+
+
+def privileged_tracks(
+    ids: Iterable[int], r: int, t: int, j: int, field: PrimeField
+) -> list[Track]:
+    """Every (t, j)-privileged r-subset of the identities, lexicographically.
+
+    Walks the (r-1)-prefixes depth-first, extending the tau ladder by one
+    identity per level.  tau_w(prefix + {x}) = tau_w(prefix) +
+    x * tau_{w-1}(prefix) is linear in x, so the window equations leave at
+    most one last identity: the first w with tau_{w-1}(prefix) != 0 fixes
+    it, and it counts when it is an identity after the prefix that meets
+    the other equations.  When every tau_{w-1}(prefix) in the window
+    vanishes, x drops out and the equations hold exactly when the prefix
+    is itself privileged; then every later identity completes it.  That
+    is O(r) work per prefix instead of an O(r^2) ladder per r-subset.
+    """
+    ids = as_track(ids, field)
+    _check_predicate_args(r, t, j, field)
+    n = len(ids)
+    if j < t - r or j > r - 1 or r > n:
+        return []
+    p = field.p
+    window = range(r - j, t - j)
+    position = {x: k for k, x in enumerate(ids)}
+    found: list[Track] = []
+
+    def complete(prefix: Track, taus: list[int], start: int) -> None:
+        for w in window:
+            if taus[w - 1]:
+                x = -taus[w] * pow(taus[w - 1], -1, p) % p
+                if position.get(x, -1) >= start and all(
+                    (taus[v] + x * taus[v - 1]) % p == 0 for v in window
+                ):
+                    found.append(prefix + (x,))
+                return
+        # x dropped out: what is left is tau_{t-1-j}(prefix) = 0, the
+        # last equation of the prefix's own window test
+        if taus[t - 1 - j] == 0:
+            found.extend(prefix + (x,) for x in ids[start:])
+
+    def extend(prefix: Track, taus: list[int], start: int) -> None:
+        depth = len(prefix) + 1
+        pairs = list(zip(taus + [0], [0] + taus))
+        for k in range(start, n - r + depth):
+            x = ids[k]
+            ladder = [(a + x * b) % p for a, b in pairs]
+            if depth == r - 1:
+                complete(prefix + (x,), ladder, k + 1)
+            else:
+                extend(prefix + (x,), ladder, k + 1)
+
+    # a nonempty window needs r >= 2, so every prefix has an identity
+    extend((), [1], 0)
+    return found
+
+
+def contains_privileged(track: Track, shorter: set[Track]) -> bool:
+    """Does the track contain one of the privileged tracks in `shorter`?
+
+    `shorter` holds every privileged track one element shorter than
+    `track` over the same identities.  Privilege is monotone under
+    supersets, so a track containing any shorter privileged track also
+    contains one of length exactly len(track) - 1: dropping one element
+    at a time covers them all.
+    """
+    return any(track[:k] + track[k + 1 :] in shorter for k in range(len(track)))
 
 
 def _has_privileged_subtrack(track: Track, t: int, j: int, field: PrimeField) -> bool:
@@ -259,25 +331,25 @@ class CoalitionReport:
 
 def _enumerate_report(query: CoalitionQuery, minimal: bool) -> CoalitionReport:
     t, j, field = query.t, query.j, query.field
+    ids = tuple(range(1, query.effective_n_max + 1))
     found: list[Track] = []
     r_min: int | None = None
     n_min: int | None = None
+    # privileged tracks one length shorter, for the minimality check; a
+    # fixed length walks its predecessor first (empty below the valid range)
+    shorter: set[Track] = set()
+    if minimal and query.r is not None:
+        shorter = set(privileged_tracks(ids, query.r - 1, t, j, field))
     for r in query.lengths:
-        priv = [
-            track
-            for track in enumerate_tracks(r, query.effective_n_max)
-            if is_privileged(track, t, j, field)
-        ]
+        priv = privileged_tracks(ids, r, t, j, field)
         if priv and r_min is None:
             r_min = r
             n_min = len(priv)
         if minimal:
-            priv = [
-                track
-                for track in priv
-                if not _has_privileged_subtrack(track, t, j, field)
-            ]
-        found.extend(priv)
+            found.extend(c for c in priv if not contains_privileged(c, shorter))
+            shorter = set(priv)
+        else:
+            found.extend(priv)
     if query.r is not None:
         r_min = n_min = None
     return CoalitionReport(

@@ -17,7 +17,12 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
-from .coalition import is_minimal_privileged, is_unextended, privileged_rank_oracle, valid_lengths
+from .coalition import (
+    contains_privileged,
+    privileged_rank_oracle,
+    privileged_tracks,
+    valid_lengths,
+)
 from .errors import AuthorizationError, ParameterError
 from .field import PrimeField
 from .symfun import Track, as_track, elem_sym, poly_eval, vandermonde_det
@@ -147,6 +152,9 @@ def derive_access_structure(cfg: SchemeConfig) -> AccessStructure:
     1 <= j <= t-2 they are the minimal privileged coalitions among the
     participants plus any unextended t-subsets (t-subsets containing no
     privileged coalition, which are therefore minimally authorized).
+    Both are decided by containment: a coalition is minimal, and a
+    t-subset unextended, when it contains none of the privileged
+    coalitions one element shorter that the walk has found.
     """
     t, field, ids = cfg.t, cfg.field, cfg.identities
     per_index: list[tuple[AuthorizedSet, ...]] = []
@@ -158,15 +166,16 @@ def derive_access_structure(cfg: SchemeConfig) -> AccessStructure:
     )
     for j in range(1, t - 1):
         sets: list[AuthorizedSet] = []
+        shorter: set[Track] = set()
         for r in valid_lengths(t, j):
-            if r > len(ids):
-                continue
-            for sub in itertools.combinations(ids, r):
-                if is_minimal_privileged(sub, t, j, field):
+            priv = privileged_tracks(ids, r, t, j, field)
+            for sub in priv:
+                if not contains_privileged(sub, shorter):
                     assert privileged_rank_oracle(sub, t, j, field)
                     sets.append(AuthorizedSet(members=sub, kind="privileged"))
+            shorter = set(priv)
         for sub in itertools.combinations(ids, t):
-            if is_unextended(sub, t, j, field):
+            if not contains_privileged(sub, shorter):
                 sets.append(AuthorizedSet(members=sub, kind="unextended"))
         per_index.append(tuple(sets))
     return AccessStructure(config=cfg, per_index=tuple(per_index))
@@ -222,12 +231,12 @@ def extension_track(track: Track, t: int, field: PrimeField) -> Track:
     """The t-r smallest nonzero residues disjoint from the track."""
     need = t - len(track)
     taken = set(track)
-    out = [x for x in range(1, field.p) if x not in taken][:need]
+    out = tuple(itertools.islice((x for x in range(1, field.p) if x not in taken), need))
     if len(out) < need:
         raise ParameterError(
             f"field of order {field.p} has too few residues for a disjoint extension"
         )
-    return tuple(out)
+    return out
 
 
 def recover_privileged(

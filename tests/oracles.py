@@ -113,3 +113,35 @@ def brute_force_minimal_count(t, j, p, universe):
         per_length[r] = c
         total += c
     return total, per_length
+
+
+def window_privileged(track, t, j, p):
+    """The window test with each tau_w taken from its subset-sum definition."""
+    r = len(track)
+    if not t - r <= j <= r - 1:
+        return False
+    return all(elem_sym_subsets(track, w) % p == 0 for w in range(r - j, t - j))
+
+
+def privileged_tracks_brute(ids, r, t, j, p):
+    """Every privileged r-subset of the identities, testing each subset."""
+    return [
+        track
+        for track in itertools.combinations(sorted(ids), r)
+        if window_privileged(track, t, j, p)
+    ]
+
+
+def minimal_privileged_brute(ids, t, j, p, lengths):
+    """Privileged tracks of the given lengths with no privileged proper
+    subset of any size, in length-then-lexicographic order."""
+    out = []
+    for r in lengths:
+        for track in privileged_tracks_brute(ids, r, t, j, p):
+            if not any(
+                window_privileged(sub, t, j, p)
+                for size in range(1, r)
+                for sub in itertools.combinations(track, size)
+            ):
+                out.append(track)
+    return out

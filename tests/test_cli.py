@@ -121,6 +121,38 @@ def test_access_structure(capsys):
     assert code == 2
 
 
+def test_malformed_identity_range_is_a_parameter_error(capsys):
+    code, out, err = run(
+        capsys, "access-structure", "--t", "5", "--p", "7", "--identities", "1..x"
+    )
+    assert code == 2 and out == ""
+    assert "'x' in '1..x' is not an integer" in err
+
+
+def test_malformed_prime_list_is_a_parameter_error(capsys):
+    code, out, err = run(capsys, "table", "--t", "7", "--N", "13", "--p", "13,abc")
+    assert code == 2 and out == ""
+    assert "'abc' in '13,abc' is not an integer" in err
+
+
+def test_shares_file_that_is_not_json_is_a_parameter_error(tmp_path, capsys):
+    shares = tmp_path / "shares.json"
+    shares.write_text("{not json")
+    code, out, err = run(capsys, "recover", "--shares", str(shares), "--subset", "1,2,4", "--j", "2")
+    assert code == 2 and out == ""
+    assert "is not JSON" in err
+
+
+def test_non_integer_share_is_a_parameter_error(tmp_path, capsys):
+    shares = tmp_path / "shares.json"
+    participants = [{"id": i, "share": 1} for i in range(1, 7)]
+    participants[2]["share"] = "three"
+    shares.write_text(json.dumps({"p": 7, "t": 5, "participants": participants}))
+    code, out, err = run(capsys, "recover", "--shares", str(shares), "--subset", "1,2,4", "--j", "2")
+    assert code == 2 and out == ""
+    assert "malformed shares file" in err
+
+
 def test_deal_recover_cycle(tmp_path, capsys):
     shares = tmp_path / "shares.json"
     code, _, err = run(

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,8 @@ from privcoal import (
     CoalitionQuery,
     ParameterError,
     PrimeField,
+    SchemeConfig,
+    derive_access_structure,
     enumerate_tracks,
     extension_condition,
     is_minimal_privileged,
@@ -18,10 +21,17 @@ from privcoal import (
     minimal_privileged_coalitions,
     privileged_coalitions,
     privileged_rank_oracle,
+    privileged_tracks,
     valid_lengths,
 )
 
-from oracles import determines_coefficient, elem_sym_subsets, minimal_by_all_subtracks
+from oracles import (
+    determines_coefficient,
+    elem_sym_subsets,
+    minimal_by_all_subtracks,
+    minimal_privileged_brute,
+    privileged_tracks_brute,
+)
 
 F7 = PrimeField(7)
 F13 = PrimeField(13)
@@ -249,3 +259,84 @@ def test_report_determinism_and_dict():
     assert doc["count"] == 3
     assert doc["coalitions"][0] == [1, 5, 8, 12]
     assert doc["minimal"] is False
+
+
+WALK_PRIMES = [7, 11, 13, 31, 10007, 2**61 - 1]
+
+
+def _planted_coalition(rng, t, j, p):
+    """A (t-1)-track privileged for (t, j): a random prefix completed by
+    solving tau_{t-1-j}(prefix + {x}) = 0 for x, so that sparse large
+    fields hold privileged tracks too.  Small fields, where a prefix may
+    have no valid completion, fall back to a random track."""
+    w = t - 1 - j
+    for _ in range(50):
+        prefix = rng.sample(range(1, p), t - 2)
+        den = elem_sym_subsets(prefix, w - 1) % p
+        if den:
+            x = -elem_sym_subsets(prefix, w) * pow(den, -1, p) % p
+            if x and x not in prefix:
+                return prefix + [x]
+    return rng.sample(range(1, p), t - 1)
+
+
+@pytest.mark.parametrize("p", WALK_PRIMES)
+def test_walk_matches_brute_force_lister(p):
+    rng = random.Random(p)
+    field = PrimeField(p)
+    hits = 0
+    for _ in range(12):
+        t = rng.randint(3, min(7, p))
+        j = rng.randint(1, t - 2)
+        n = rng.randint(t - 1, min(10, p - 1))
+        ids = _planted_coalition(rng, t, j, p)
+        while len(ids) < n:
+            x = rng.randrange(1, p)
+            if x not in ids:
+                ids.append(x)
+        rng.shuffle(ids)
+        for r in range(1, t):
+            want = privileged_tracks_brute(ids, r, t, j, p)
+            assert privileged_tracks(ids, r, t, j, field) == want, (t, j, r, ids)
+            hits += len(want)
+        if len(ids) >= t:
+            structure = derive_access_structure(SchemeConfig(t=t, field=field, identities=ids))
+            got = [a.members for a in structure.minimal_sets(j) if a.kind == "privileged"]
+            assert got == minimal_privileged_brute(ids, t, j, p, valid_lengths(t, j))
+    assert hits >= 12
+
+
+def test_walk_preconditions():
+    with pytest.raises(ParameterError):
+        privileged_tracks((1, 2, 3, 4, 5), 5, 5, 2, F7)  # r = t is not a coalition
+    with pytest.raises(ParameterError):
+        privileged_tracks((1, 2, 7), 3, 5, 2, F7)  # 7 is the zero residue
+    assert privileged_tracks((1, 2, 4), 3, 5, 1, F7) == []  # j below t - r
+    assert privileged_tracks((1, 2, 4), 4, 5, 2, F7) == []  # r above len(ids)
+
+
+def test_reports_match_brute_force_lister():
+    rng = random.Random(1212)
+    non_minimal = 0
+    for _ in range(60):
+        p = rng.choice([5, 7, 11, 13, 17, 19, 23, 31, 10007, 2**61 - 1])
+        t = rng.randint(3, min(7, p))
+        j = rng.randint(1, t - 2)
+        n = rng.randint(min(t - 1, p - 1), min(11, p - 1))
+        ids = range(1, n + 1)
+        lengths = [r for r in valid_lengths(t, j) if r <= n]
+        for r in [None] + lengths:
+            query = CoalitionQuery(t=t, j=j, field=PrimeField(p), n_max=n, r=r)
+            walked = lengths if r is None else [r]
+            priv = [c for length in walked for c in privileged_tracks_brute(ids, length, t, j, p)]
+            minimal = minimal_privileged_brute(ids, t, j, p, walked)
+            report = privileged_coalitions(query)
+            assert report.coalitions == tuple(priv), (p, t, j, n, r)
+            assert minimal_privileged_coalitions(query).coalitions == tuple(minimal)
+            if r is None and priv:
+                r_min = len(priv[0])
+                assert (report.r_min, report.n_min) == (r_min, sum(len(c) == r_min for c in priv))
+            non_minimal += len(priv) - len(minimal)
+    # non-minimal tracks, among them those whose (r-1)-prefix is privileged
+    # and which the walk lists through its degenerate branch
+    assert non_minimal > 0

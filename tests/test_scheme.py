@@ -1,6 +1,7 @@
 """Dealing, access structures, and both recovery routes."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,13 +15,16 @@ from privcoal import (
     deal,
     derive_access_structure,
     extension_track,
+    is_minimal_privileged,
+    is_unextended,
     recover,
     recover_full,
     recover_privileged,
     solve_shares,
+    valid_lengths,
 )
 
-from oracles import determines_coefficient, eval_poly_int
+from oracles import determines_coefficient, elem_sym_subsets, eval_poly_int
 
 F7 = PrimeField(7)
 CFG = SchemeConfig(t=5, field=F7, identities=range(1, 7))
@@ -166,6 +170,57 @@ def test_extension_track():
     assert extension_track((1, 2, 5, 6), 5, F7) == (3,)
     with pytest.raises(ParameterError):
         extension_track((1, 2, 4), 7, F7)  # only 3 residues remain
+
+
+def test_extension_track_and_recovery_in_a_61_bit_field():
+    field = PrimeField(2**61 - 1)
+    p = field.p
+    assert extension_track((1, 2, 4), 7, field) == (3, 5, 6, 7)
+    # (1, 2, 3, x) is (5, 2)-privileged when tau_2 = 11 + 6x vanishes
+    x = -elem_sym_subsets((1, 2, 3), 2) * pow(elem_sym_subsets((1, 2, 3), 1), -1, p) % p
+    cfg = SchemeConfig(t=5, field=field, identities=(1, 2, 3, x, 9))
+    sv = SecretVector(secrets=(11, 22, 33, 44), blinding=5, field=field)
+    table = deal(cfg, sv)
+    assert recover_privileged(table.subset([1, 2, 3, x]), 5, 2, field) == 33
+    assert recover(table.subset([1, 2, 3, x]), 2, cfg) == 33
+
+
+def _access_structure_by_definition(cfg):
+    """Minimal sets from the reference predicates over every subset."""
+    t, field, ids = cfg.t, cfg.field, cfg.identities
+    per_index = [[(sub, "threshold") for sub in itertools.combinations(ids, t)]]
+    for j in range(1, t - 1):
+        per_index.append(
+            [
+                (sub, "privileged")
+                for r in valid_lengths(t, j)
+                for sub in itertools.combinations(ids, r)
+                if is_minimal_privileged(sub, t, j, field)
+            ]
+            + [
+                (sub, "unextended")
+                for sub in itertools.combinations(ids, t)
+                if is_unextended(sub, t, j, field)
+            ]
+        )
+    return per_index
+
+
+@pytest.mark.parametrize("t", [3, 4, 5, 6])
+def test_access_structure_matches_definitional_construction(t):
+    rng = random.Random(t)
+    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31):
+        if p <= t:
+            continue
+        field = PrimeField(p)
+        for n in (t, min(p - 1, t + 2)):
+            cfg = SchemeConfig(t=t, field=field, identities=rng.sample(range(1, p), n))
+            structure = derive_access_structure(cfg)
+            got = [
+                [(a.members, a.kind) for a in structure.minimal_sets(j)]
+                for j in range(t - 1)
+            ]
+            assert got == _access_structure_by_definition(cfg), (t, p, cfg.identities)
 
 
 def test_recover_dispatch():
