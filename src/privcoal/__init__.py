@@ -17,11 +17,8 @@ from .audit import (
 from .coalition import (
     CoalitionQuery,
     CoalitionReport,
-    enumerate_tracks,
     extension_condition,
-    is_minimal_privileged,
     is_privileged,
-    is_unextended,
     minimal_privileged_coalitions,
     privileged_coalitions,
     privileged_rank_oracle,
@@ -29,7 +26,7 @@ from .coalition import (
     valid_lengths,
 )
 from .errors import AuthorizationError, CapacityError, ParameterError
-from .field import FieldElement, PrimeField, is_prime
+from .field import PrimeField, is_prime
 from .scheme import (
     AccessStructure,
     AuthorizedSet,
@@ -40,16 +37,13 @@ from .scheme import (
     derive_access_structure,
     extension_track,
     recover,
-    recover_full,
     recover_privileged,
-    solve_shares,
 )
 from .symfun import (
     Track,
     as_track,
     elem_sym,
     elem_sym_all,
-    generalized_vandermonde_det,
     poly_eval,
     vandermonde_det,
 )
@@ -64,7 +58,6 @@ __all__ = [
     "CoalitionQuery",
     "CoalitionReport",
     "FULL_FIELD",
-    "FieldElement",
     "ParameterError",
     "PrimeField",
     "SchemeConfig",
@@ -78,15 +71,11 @@ __all__ = [
     "derive_access_structure",
     "elem_sym",
     "elem_sym_all",
-    "enumerate_tracks",
     "extension_condition",
     "extension_track",
-    "generalized_vandermonde_det",
     "ideality_check",
-    "is_minimal_privileged",
     "is_prime",
     "is_privileged",
-    "is_unextended",
     "minimal_privileged_coalitions",
     "perfectness_report",
     "poly_eval",
@@ -94,9 +83,7 @@ __all__ = [
     "privileged_rank_oracle",
     "privileged_tracks",
     "recover",
-    "recover_full",
     "recover_privileged",
-    "solve_shares",
     "valid_lengths",
     "vandermonde_det",
 ]

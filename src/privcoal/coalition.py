@@ -22,9 +22,8 @@ coalitions one length shorter (`contains_privileged`).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from . import linalg
 from .errors import ParameterError
@@ -39,15 +38,6 @@ def valid_lengths(t: int, j: int) -> list[int]:
     never appear.
     """
     return list(range(max(t - j, j + 1), t))
-
-
-def enumerate_tracks(r: int, n_max: int) -> Iterator[Track]:
-    """All strictly increasing r-tuples over {1, ..., n_max}, lexicographic."""
-    if r < 1:
-        raise ParameterError(f"track length {r} must be at least 1")
-    if r > n_max:
-        raise ParameterError(f"track length {r} exceeds the identity bound {n_max}")
-    return itertools.combinations(range(1, n_max + 1), r)
 
 
 def _check_predicate_args(r: int, t: int, j: int, field: PrimeField) -> None:
@@ -89,6 +79,22 @@ def privileged_rank_oracle(track: Track, t: int, j: int, field: PrimeField) -> b
     return linalg.in_rowspan(rows, unit, p)
 
 
+def check_extension(track: Track, ext: Track, t: int, field: PrimeField) -> None:
+    """Raise ParameterError unless ext is an admissible extension of the
+    track: t - r pairwise distinct nonzero residues outside the track."""
+    if len(ext) != t - len(track):
+        raise ParameterError(
+            f"extension length {len(ext)} differs from t - r = {t - len(track)}"
+        )
+    if set(ext) & set(track):
+        raise ParameterError("extension overlaps the coalition")
+    for v in ext:
+        if not 1 <= v <= field.p - 1:
+            raise ParameterError(f"extension element {v} outside [1, {field.p - 1}]")
+    if len(set(ext)) != len(ext):
+        raise ParameterError("extension elements must be pairwise distinct")
+
+
 def extension_condition(
     track: Track, ext: Track, t: int, j: int, field: PrimeField
 ) -> bool:
@@ -102,19 +108,8 @@ def extension_condition(
     privileged coalition recover a_j without extra shares.
     """
     _check_predicate_args(len(track), t, j, field)
+    check_extension(track, ext, t, field)
     r = len(track)
-    if len(ext) != t - r:
-        raise ParameterError(
-            f"extension length {len(ext)} differs from t - r = {t - r}"
-        )
-    if set(ext) & set(track):
-        raise ParameterError("extension overlaps the coalition")
-    for v in ext:
-        if not 1 <= v <= field.p - 1:
-            raise ParameterError(f"extension element {v} outside [1, {field.p - 1}]")
-    if len(set(ext)) != len(ext):
-        raise ParameterError("extension elements must be pairwise distinct")
-
     p = field.p
     b = t - 1 - j
     base = elem_sym_all(track, field)
@@ -197,38 +192,6 @@ def contains_privileged(track: Track, shorter: set[Track]) -> bool:
     return any(track[:k] + track[k + 1 :] in shorter for k in range(len(track)))
 
 
-def _has_privileged_subtrack(track: Track, t: int, j: int, field: PrimeField) -> bool:
-    # Rank privilege is monotone under supersets, so testing the
-    # drop-one subtracks covers proper subtracks of every length.
-    for k in range(len(track)):
-        sub = track[:k] + track[k + 1 :]
-        if privileged_rank_oracle(sub, t, j, field):
-            return True
-    return False
-
-
-def is_minimal_privileged(track: Track, t: int, j: int, field: PrimeField) -> bool:
-    """Privileged with no proper subtrack that determines a_j on its own."""
-    if not is_privileged(track, t, j, field):
-        return False
-    return not _has_privileged_subtrack(track, t, j, field)
-
-
-def is_unextended(track: Track, t: int, j: int, field: PrimeField) -> bool:
-    """A full-length track that is minimally authorized for a_j.
-
-    Takes a track of length exactly t and reports whether none of its
-    proper subtracks is (t, j)-privileged in the rank-oracle sense.
-    """
-    if len(track) != t:
-        raise ParameterError(
-            f"unextended test requires length t = {t}, got {len(track)}"
-        )
-    if not 0 <= j <= t - 1:
-        raise ParameterError(f"coefficient index {j} outside [0, {t - 1}]")
-    return not _has_privileged_subtrack(track, t, j, field)
-
-
 @dataclass(frozen=True)
 class CoalitionQuery:
     """Enumeration request: threshold t, coefficient index j, length r
@@ -285,10 +248,6 @@ class CoalitionQuery:
         if self.r is not None:
             return [self.r]
         return [r for r in valid_lengths(self.t, self.j) if r <= self.effective_n_max]
-
-    def window(self, r: int) -> range:
-        """Indices w whose tau_w must vanish for a length-r coalition."""
-        return range(r - self.j, self.t - self.j)
 
 
 @dataclass(frozen=True)

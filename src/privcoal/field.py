@@ -1,9 +1,9 @@
-"""Exact arithmetic in prime fields F_p.
+"""Prime fields F_p.
 
-`PrimeField` carries the modulus and does integer-level arithmetic on
-canonical residues in [0, p); `FieldElement` is a thin typed wrapper for
-call sites that want operator syntax and modulus checking.  Everything is
-immutable and pure, so values can be shared freely between workers.
+`PrimeField` carries a modulus that is checked to be prime, and the
+multiplicative inverse.  The rest of the package works on plain integer
+residues in [0, p) with Python's `%` and three-argument `pow`.  Everything
+is immutable and pure, so values can be shared freely between workers.
 """
 
 from __future__ import annotations
@@ -42,29 +42,13 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimeField:
-    """The field F_p for a prime modulus p, with residue-level operations."""
+    """The field F_p for a prime modulus p."""
 
     p: int
 
     def __post_init__(self) -> None:
         if not is_prime(self.p):
             raise ParameterError(f"modulus {self.p} is not prime")
-
-    def normalize(self, n: int) -> int:
-        """Reduce any signed integer to its canonical residue in [0, p)."""
-        return n % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse of a nonzero residue."""
@@ -73,60 +57,6 @@ class PrimeField:
             raise ZeroDivisionError("zero has no multiplicative inverse")
         return pow(a, self.p - 2, self.p)
 
-    def pow(self, a: int, e: int) -> int:
-        """a**e mod p by square-and-multiply; 0**0 is defined as 1."""
-        if e < 0:
-            raise ParameterError("exponent must be non-negative")
-        return pow(a % self.p, e, self.p)
-
-    def element(self, n: int) -> FieldElement:
-        return FieldElement(n % self.p, self)
-
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"
 
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A canonical residue tagged with its field."""
-
-    value: int
-    field: PrimeField
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", self.value % self.field.p)
-
-    def _same_field(self, other: FieldElement) -> None:
-        if not isinstance(other, FieldElement):
-            raise ParameterError(f"cannot combine FieldElement with {type(other).__name__}")
-        if other.field.p != self.field.p:
-            raise ParameterError(
-                f"modulus mismatch: {self.field.p} vs {other.field.p}"
-            )
-
-    def __add__(self, other: FieldElement) -> FieldElement:
-        self._same_field(other)
-        return FieldElement(self.value + other.value, self.field)
-
-    def __sub__(self, other: FieldElement) -> FieldElement:
-        self._same_field(other)
-        return FieldElement(self.value - other.value, self.field)
-
-    def __mul__(self, other: FieldElement) -> FieldElement:
-        self._same_field(other)
-        return FieldElement(self.value * other.value, self.field)
-
-    def __neg__(self) -> FieldElement:
-        return FieldElement(-self.value, self.field)
-
-    def __pow__(self, e: int) -> FieldElement:
-        return FieldElement(self.field.pow(self.value, e), self.field)
-
-    def inverse(self) -> FieldElement:
-        return FieldElement(self.field.inv(self.value), self.field)
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.field.p})"

@@ -1,8 +1,8 @@
 """Gaussian elimination over F_p on plain integer matrices.
 
-Shared kernel for the rank oracle, determinant evaluation, share-system
-solving, and the audit's solution-space enumeration.  Matrices are lists
-of rows of canonical residues; nothing here mutates its inputs.
+Shared kernel for the rank oracle, share-system solving, and the audit's
+solution spaces.  Matrices are lists of rows of canonical residues;
+nothing here mutates its inputs.
 """
 
 from __future__ import annotations
@@ -31,10 +31,6 @@ def row_echelon(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[in
     return m, pivots
 
 
-def rank(rows: list[list[int]], p: int) -> int:
-    return len(row_echelon(rows, p)[1])
-
-
 def in_rowspan(rows: list[list[int]], vec: list[int], p: int) -> bool:
     """True when vec lies in the span of the given rows."""
     m, pivots = row_echelon(rows, p)
@@ -44,30 +40,6 @@ def in_rowspan(rows: list[list[int]], vec: list[int], p: int) -> bool:
             f = v[col]
             v = [(a - f * b) % p for a, b in zip(v, m[i])]
     return not any(v)
-
-
-def det(rows: list[list[int]], p: int) -> int:
-    """Determinant of a square matrix mod p by elimination."""
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("determinant requires a square matrix")
-    m = [[x % p for x in row] for row in rows]
-    out = 1
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            out = -out
-        pivot = m[col][col]
-        out = out * pivot % p
-        inv = pow(pivot, -1, p)
-        for i in range(col + 1, n):
-            if m[i][col]:
-                f = m[i][col] * inv % p
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[col])]
-    return out % p
 
 
 def solve_square(rows: list[list[int]], rhs: list[int], p: int) -> list[int] | None:

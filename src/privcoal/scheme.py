@@ -4,9 +4,10 @@ The dealer hides t-1 secrets s_0..s_{t-2} as the low coefficients of a
 degree-(t-1) polynomial whose top coefficient is a nonzero blinding
 value, and hands participant i the evaluation at its public identity.
 Any t participants recover the whole coefficient vector by solving the
-Vandermonde system; a privileged coalition of r < t participants
-recovers its coefficient through a cofactor expansion in which the
-terms needing the missing t-r shares provably vanish.
+Vandermonde system, and any further shares must lie on the polynomial
+it gives; a privileged coalition of r < t participants recovers its
+coefficient through a cofactor expansion in which the terms needing the
+missing t-r shares provably vanish.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import linalg
 from .coalition import (
+    check_extension,
     contains_privileged,
     privileged_rank_oracle,
     privileged_tracks,
@@ -104,9 +106,6 @@ class ShareTable:
 
     def subset(self, identities: Iterable[int]) -> list[tuple[int, int]]:
         return [(i, self.share(i)) for i in sorted(set(identities))]
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.entries)
 
 
 @dataclass(frozen=True)
@@ -202,31 +201,6 @@ def _normalize_pairs(shares: SharePairs | Mapping[int, int]) -> list[tuple[int, 
     return pairs
 
 
-def solve_shares(shares: SharePairs | Mapping[int, int], cfg: SchemeConfig) -> tuple[int, ...]:
-    """Solve the full t x t system by elimination; returns the coefficient vector."""
-    pairs = _normalize_pairs(shares)
-    t, p = cfg.t, cfg.field.p
-    if len(pairs) != t:
-        raise ParameterError(f"full recovery needs exactly t = {t} shares, got {len(pairs)}")
-    rows = []
-    for i, _ in pairs:
-        row = [1] * t
-        for v in range(1, t):
-            row[v] = row[v - 1] * i % p
-        rows.append(row)
-    rhs = [y % p for _, y in pairs]
-    solution = linalg.solve_square(rows, rhs, p)
-    assert solution is not None, "distinct identities give a nonsingular system"
-    return tuple(solution)
-
-
-def recover_full(shares: SharePairs | Mapping[int, int], j: int, cfg: SchemeConfig) -> int:
-    """Coefficient a_j from exactly t shares (j = t-1 yields the blinding)."""
-    if not 0 <= j <= cfg.t - 1:
-        raise ParameterError(f"coefficient index {j} outside [0, {cfg.t - 1}]")
-    return solve_shares(shares, cfg)[j]
-
-
 def extension_track(track: Track, t: int, field: PrimeField) -> Track:
     """The t-r smallest nonzero residues disjoint from the track."""
     need = t - len(track)
@@ -264,21 +238,13 @@ def recover_privileged(
         raise ParameterError(f"coalition recovery needs fewer than t = {t} shares")
     if not privileged_rank_oracle(track, t, j, field):
         raise AuthorizationError(
-            f"coalition {track} cannot determine coefficient {j}"
+            f"subset {track} is not authorized for secret index {j}"
         )
     if extension is None:
         ext = extension_track(track, t, field)
     else:
         ext = tuple(extension)
-        if len(ext) != t - r:
-            raise ParameterError(
-                f"extension length {len(ext)} differs from t - r = {t - r}"
-            )
-        if len(set(ext)) != len(ext) or set(ext) & set(track):
-            raise ParameterError("extension must be disjoint from the coalition")
-        for v in ext:
-            if not 1 <= v <= field.p - 1:
-                raise ParameterError(f"extension element {v} outside [1, {field.p - 1}]")
+        check_extension(track, ext, t, field)
     p = field.p
     b = t - 1 - j
     for m in range(len(ext)):
@@ -298,22 +264,35 @@ def recover(shares: SharePairs | Mapping[int, int], j: int, cfg: SchemeConfig) -
     """Recover secret s_j from any authorized subset of shares.
 
     With at least t shares the t lexicographically smallest identities
-    are solved directly; otherwise the subset itself must be a privileged
-    coalition for index j (privilege is monotone, so if any subtrack
-    qualifies the whole subset does).
+    are solved directly, and every further share must lie on the solved
+    polynomial (ParameterError otherwise).  With fewer, the subset itself
+    must be a privileged coalition for index j, which recover_privileged
+    checks (privilege is monotone, so if any subtrack qualifies the whole
+    subset does).
     """
     pairs = _normalize_pairs(shares)
     known = set(cfg.identities)
     for i, _ in pairs:
         if i not in known:
             raise ParameterError(f"identity {i} is not a participant")
-    if not 0 <= j <= cfg.t - 1:
-        raise ParameterError(f"coefficient index {j} outside [0, {cfg.t - 1}]")
-    if len(pairs) >= cfg.t:
-        return recover_full(pairs[: cfg.t], j, cfg)
-    track = tuple(i for i, _ in pairs)
-    if not privileged_rank_oracle(track, cfg.t, j, cfg.field):
-        raise AuthorizationError(
-            f"subset {track} is not authorized for secret index {j}"
-        )
-    return recover_privileged(pairs, cfg.t, j, cfg.field)
+    t, field = cfg.t, cfg.field
+    if not 0 <= j <= t - 1:
+        raise ParameterError(f"coefficient index {j} outside [0, {t - 1}]")
+    if len(pairs) < t:
+        return recover_privileged(pairs, t, j, field)
+    p = field.p
+    rows = []
+    for i, _ in pairs[:t]:
+        row = [1] * t
+        for v in range(1, t):
+            row[v] = row[v - 1] * i % p
+        rows.append(row)
+    coeffs = linalg.solve_square(rows, [y % p for _, y in pairs[:t]], p)
+    assert coeffs is not None, "distinct identities give a nonsingular system"
+    for i, y in pairs[t:]:
+        if poly_eval(coeffs, i, field) != y % p:
+            raise ParameterError(
+                f"the shares do not lie on one polynomial of degree below {t}: "
+                f"the share of identity {i} disagrees with the first {t}"
+            )
+    return coeffs[j]

@@ -3,8 +3,8 @@
 A *track* is the canonical identity sequence used everywhere in the
 package: strictly increasing, pairwise distinct, nonzero residues.  The
 symmetric-function ladder tau_0..tau_r of a track drives the privileged
-coalition predicates, and the (generalized) Vandermonde determinants
-drive the share-recovery formulas.
+coalition predicates, and the Vandermonde determinants drive the
+coalition recovery formula.
 """
 
 from __future__ import annotations
@@ -81,25 +81,3 @@ def vandermonde_det(values: Sequence[int], field: PrimeField) -> int:
             out = out * (values[j] - vi) % p
     return out
 
-
-def generalized_vandermonde_det(
-    values: Sequence[int], exponents: Sequence[int], field: PrimeField
-) -> int:
-    """det of the matrix with entry (i, k) = values[i] ** exponents[k], mod p.
-
-    Exponents must be strictly increasing and non-negative; the classical
-    Vandermonde determinant is the special case exponents = (0, ..., r-1).
-    """
-    if len(exponents) != len(values):
-        raise ParameterError(
-            f"{len(exponents)} exponents for {len(values)} points"
-        )
-    if any(e < 0 for e in exponents):
-        raise ParameterError("exponents must be non-negative")
-    if any(a >= b for a, b in zip(exponents, exponents[1:])):
-        raise ParameterError("exponents must be strictly increasing")
-    from . import linalg
-
-    p = field.p
-    rows = [[pow(v % p, e, p) for e in exponents] for v in values]
-    return linalg.det(rows, p)

@@ -99,6 +99,15 @@ def minimal_by_all_subtracks(track, t, j, p):
     return True
 
 
+def unextended_by_all_subtracks(track, t, j, p):
+    """No proper subtrack of any size determines the coefficient."""
+    return not any(
+        determines_coefficient(sub, t, j, p)
+        for size in range(1, len(track))
+        for sub in itertools.combinations(track, size)
+    )
+
+
 def brute_force_minimal_count(t, j, p, universe):
     """Count minimal privileged coalitions over the given identity universe."""
     total = 0

@@ -179,6 +179,20 @@ def test_deal_recover_cycle(tmp_path, capsys):
     assert "not authorized" in err
 
 
+def test_recover_refuses_tampered_shares(tmp_path, capsys):
+    shares = tmp_path / "shares.json"
+    for tampered in (6, 2):  # outside the first t identities, then inside
+        values = [1, 3, 1, 4, 1, 3]  # s = (1, 2, 3, 4), blinding 5, p = 7
+        values[tampered - 1] = (values[tampered - 1] + 1) % 7
+        participants = [{"id": i, "share": y} for i, y in enumerate(values, start=1)]
+        shares.write_text(json.dumps({"p": 7, "t": 5, "participants": participants}))
+        code, out, err = run(
+            capsys, "recover", "--shares", str(shares), "--subset", "1..6", "--j", "0"
+        )
+        assert code == 2 and out == ""
+        assert "do not lie on one polynomial" in err
+
+
 def test_deal_seeded_is_deterministic(tmp_path, capsys):
     target = tmp_path / "shares.json"
     snapshots = []

@@ -1,7 +1,6 @@
 """Coalition predicates and enumeration."""
 
 import itertools
-import math
 import random
 
 import pytest
@@ -13,11 +12,8 @@ from privcoal import (
     PrimeField,
     SchemeConfig,
     derive_access_structure,
-    enumerate_tracks,
     extension_condition,
-    is_minimal_privileged,
     is_privileged,
-    is_unextended,
     minimal_privileged_coalitions,
     privileged_coalitions,
     privileged_rank_oracle,
@@ -31,6 +27,7 @@ from oracles import (
     minimal_by_all_subtracks,
     minimal_privileged_brute,
     privileged_tracks_brute,
+    unextended_by_all_subtracks,
 )
 
 F7 = PrimeField(7)
@@ -44,19 +41,6 @@ def test_valid_lengths():
     assert valid_lengths(7, 4) == [5, 6]
     assert valid_lengths(7, 5) == [6]
     assert valid_lengths(5, 2) == [3, 4]
-
-
-def test_enumerate_tracks():
-    assert list(enumerate_tracks(2, 3)) == [(1, 2), (1, 3), (2, 3)]
-    assert list(enumerate_tracks(3, 3)) == [(1, 2, 3)]
-    tracks = list(enumerate_tracks(4, 13))
-    assert len(tracks) == math.comb(13, 4) == 715
-    assert tracks[0] == (1, 2, 3, 4)
-    assert tracks[-1] == (10, 11, 12, 13)
-    with pytest.raises(ParameterError):
-        list(enumerate_tracks(4, 3))
-    with pytest.raises(ParameterError):
-        list(enumerate_tracks(0, 3))
 
 
 def test_is_privileged_known_cases():
@@ -152,9 +136,17 @@ def test_identity_bound_clamps_to_field():
 
 
 def test_minimal_privileged():
-    assert is_minimal_privileged((1, 2, 4), 5, 2, F7)
-    assert not is_minimal_privileged((1, 2, 4, 5), 5, 2, F7)  # contains (1,2,4)
-    assert is_minimal_privileged((1, 5, 8, 12), 7, 3, F13)
+    sweep = minimal_privileged_coalitions(CoalitionQuery(t=5, j=2, field=F7, n_max=6))
+    assert (1, 2, 4) in sweep.coalitions
+    assert minimal_by_all_subtracks((1, 2, 4), 5, 2, 7)
+    # privileged, but contains (1,2,4)
+    assert is_privileged((1, 2, 4, 5), 5, 2, F7)
+    assert (1, 2, 4, 5) not in sweep.coalitions
+    assert not minimal_by_all_subtracks((1, 2, 4, 5), 5, 2, 7)
+    cfg = SchemeConfig(t=7, field=F13, identities=range(1, 13))
+    members = [a.members for a in derive_access_structure(cfg).minimal_sets(3)]
+    assert (1, 5, 8, 12) in members
+    assert minimal_by_all_subtracks((1, 5, 8, 12), 7, 3, 13)
 
 
 def test_minimal_enumeration_cases():
@@ -184,16 +176,23 @@ def test_minimality_agrees_with_all_subtracks_oracle():
                 assert ((track in members) == expected), (track, j)
 
 
+def _unextended_sets(t, j, field, ids):
+    structure = derive_access_structure(SchemeConfig(t=t, field=field, identities=ids))
+    return [a.members for a in structure.minimal_sets(j) if a.kind == "unextended"]
+
+
 def test_unextended():
-    assert not is_unextended((1, 2, 3, 4, 5), 5, 2, F7)  # contains (1,2,4)
-    assert not is_unextended((2, 3, 4, 5, 6), 5, 1, F7)  # contains (2,3,4,5)
-    with pytest.raises(ParameterError):
-        is_unextended((1, 2, 4), 5, 2, F7)
+    # contains (1,2,4), resp. (2,3,4,5)
+    assert (1, 2, 3, 4, 5) not in _unextended_sets(5, 2, F7, range(1, 7))
+    assert not unextended_by_all_subtracks((1, 2, 3, 4, 5), 5, 2, 7)
+    assert (2, 3, 4, 5, 6) not in _unextended_sets(5, 1, F7, range(1, 7))
+    assert not unextended_by_all_subtracks((2, 3, 4, 5, 6), 5, 1, 7)
     # over a huge prime no subset of 1..13 has vanishing symmetric functions,
     # so any 7-subset is unextended for every index
     big = PrimeField(22787)
-    assert is_unextended((1, 2, 3, 4, 5, 6, 7), 7, 3, big)
-    assert is_unextended((7, 8, 9, 10, 11, 12, 13), 7, 4, big)
+    for track, j in (((1, 2, 3, 4, 5, 6, 7), 3), ((7, 8, 9, 10, 11, 12, 13), 4)):
+        assert track in _unextended_sets(7, j, big, range(1, 14))
+        assert unextended_by_all_subtracks(track, 7, j, 22787)
 
 
 GRID_PRIMES = [7, 11, 13, 17]

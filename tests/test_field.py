@@ -1,11 +1,8 @@
-"""Field arithmetic: exactness, axioms, primality."""
-
-import random
+"""Prime fields: primality, the modulus check, inverses."""
 
 import pytest
-from hypothesis import given, strategies as st
 
-from privcoal import FieldElement, ParameterError, PrimeField, is_prime
+from privcoal import ParameterError, PrimeField, is_prime
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
                 61, 67, 71, 73, 79, 83, 89, 97, 101]
@@ -28,46 +25,6 @@ def test_nonprime_modulus_rejected():
         PrimeField(1)
 
 
-def test_normalize():
-    f7 = PrimeField(7)
-    f13 = PrimeField(13)
-    assert f7.normalize(15) == 1
-    assert f13.normalize(0) == 0
-    assert f13.normalize(-1) == 12
-
-
-@given(st.integers(min_value=-(10**9), max_value=10**9))
-def test_normalize_matches_python_mod(n):
-    f = PrimeField(31)
-    assert f.normalize(n) == n % 31
-    assert 0 <= f.normalize(n) < 31
-
-
-def test_arith_examples():
-    f7 = PrimeField(7)
-    f13 = PrimeField(13)
-    assert f7.mul(3, 5) == 1
-    assert f7.add(6, 1) == 0
-    assert f13.sub(0, 1) == 12
-
-
-def test_element_operators_and_mismatch():
-    f7 = PrimeField(7)
-    f13 = PrimeField(13)
-    a = f7.element(3)
-    b = f7.element(5)
-    assert int(a * b) == 1
-    assert int(a + b) == 1
-    assert int(a - b) == 5
-    assert int(-b) == 2
-    assert int(a**6) == 1
-    assert int(a.inverse()) == 5
-    with pytest.raises(ParameterError):
-        a + f13.element(5)
-    with pytest.raises(ParameterError):
-        a * 5  # bare ints are not field elements
-
-
 def test_inverse_examples():
     assert PrimeField(7).inv(3) == 5
     assert PrimeField(101).inv(1) == 1
@@ -82,44 +39,14 @@ def test_inverse_of_zero():
     with pytest.raises(ZeroDivisionError):
         PrimeField(7).inv(0)
     with pytest.raises(ZeroDivisionError):
-        PrimeField(7).element(0).inverse()
-
-
-def test_pow_examples():
-    f7 = PrimeField(7)
-    f13 = PrimeField(13)
-    assert f7.pow(3, 0) == 1
-    assert f7.pow(2, 3) == 1
-    assert f7.pow(0, 0) == 1
-    # 5^11 = 5^(-1) mod 13 by Fermat; the scan oracle above pins 8
-    assert f13.pow(5, 11) == 8
-    with pytest.raises(ParameterError):
-        f7.pow(2, -1)
-
-
-def test_field_axioms_sampled():
-    # >= 1000 random triples per prime
-    for p in (7, 13, 31):
-        f = PrimeField(p)
-        rng = random.Random(p)
-        for _ in range(1000):
-            a, b, c = (rng.randrange(p) for _ in range(3))
-            assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
-            assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
-            assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
-            assert f.add(a, b) == f.add(b, a)
-            assert f.mul(a, b) == f.mul(b, a)
+        PrimeField(7).inv(14)  # reduced before the check
 
 
 def test_inverse_and_fermat_exhaustive_small_primes():
     for p in SMALL_PRIMES:
         f = PrimeField(p)
         for a in range(1, p):
-            assert f.mul(f.inv(a), a) == 1
-            assert f.pow(a, p - 1) == 1
+            assert f.inv(a) * a % p == 1
+            assert f.inv(a + p) == f.inv(a - p) == f.inv(a)
+            assert pow(a, p - 1, p) == 1
 
-
-def test_elements_reduced_at_construction():
-    f = PrimeField(7)
-    assert FieldElement(15, f).value == 1
-    assert FieldElement(-1, f).value == 6

@@ -15,16 +15,18 @@ from privcoal import (
     deal,
     derive_access_structure,
     extension_track,
-    is_minimal_privileged,
-    is_unextended,
     recover,
-    recover_full,
     recover_privileged,
-    solve_shares,
     valid_lengths,
 )
 
-from oracles import determines_coefficient, elem_sym_subsets, eval_poly_int
+from oracles import (
+    determines_coefficient,
+    elem_sym_subsets,
+    eval_poly_int,
+    minimal_by_all_subtracks,
+    unextended_by_all_subtracks,
+)
 
 F7 = PrimeField(7)
 CFG = SchemeConfig(t=5, field=F7, identities=range(1, 7))
@@ -134,17 +136,24 @@ def test_access_structure_antichain():
 
 
 def test_recover_full():
+    # t shares take the full-solve route, for the blinding coefficient too
     table = deal(CFG, SV)
-    subset = table.subset([1, 2, 3, 4, 5])
-    assert recover_full(subset, 2, CFG) == 3
-    assert recover_full(subset, 4, CFG) == 5  # the blinding coefficient
-    assert solve_shares(subset, CFG) == SV.coefficients
     for ids in itertools.combinations(range(1, 7), 5):
-        assert solve_shares(table.subset(ids), CFG) == SV.coefficients
+        subset = table.subset(ids)
+        assert [recover(subset, j, CFG) for j in range(5)] == list(SV.coefficients)
     with pytest.raises(ParameterError):
-        recover_full(table.subset([1, 2, 3, 4]), 2, CFG)
-    with pytest.raises(ParameterError):
-        recover_full(subset, 5, CFG)
+        recover(table.subset([1, 2, 3, 4, 5]), 5, CFG)
+
+
+def test_recover_rejects_shares_off_one_polynomial():
+    table = deal(CFG, SV)
+    shares = dict(table.entries)
+    for tampered in (6, 2):  # outside the first t identities, then inside
+        bad = dict(shares)
+        bad[tampered] = (bad[tampered] + 1) % 7
+        with pytest.raises(ParameterError, match="do not lie on one polynomial"):
+            recover(bad, 0, CFG)
+    assert recover(shares, 4, CFG) == 5  # all six consistent shares
 
 
 def test_recover_privileged():
@@ -157,6 +166,8 @@ def test_recover_privileged():
         recover_privileged(table.subset([1, 2, 3]), 5, 2, F7)
     with pytest.raises(ParameterError):
         recover_privileged(table.subset([1, 2, 3, 4, 5]), 5, 2, F7)
+    with pytest.raises(ParameterError):
+        recover_privileged(table.subset([1, 2, 4]), 5, 2, F7, extension=(4, 5))
 
 
 def test_recover_privileged_superset_of_minimal():
@@ -186,8 +197,8 @@ def test_extension_track_and_recovery_in_a_61_bit_field():
 
 
 def _access_structure_by_definition(cfg):
-    """Minimal sets from the reference predicates over every subset."""
-    t, field, ids = cfg.t, cfg.field, cfg.identities
+    """Minimal sets from the independent rank oracle over every subset."""
+    t, p, ids = cfg.t, cfg.field.p, cfg.identities
     per_index = [[(sub, "threshold") for sub in itertools.combinations(ids, t)]]
     for j in range(1, t - 1):
         per_index.append(
@@ -195,12 +206,12 @@ def _access_structure_by_definition(cfg):
                 (sub, "privileged")
                 for r in valid_lengths(t, j)
                 for sub in itertools.combinations(ids, r)
-                if is_minimal_privileged(sub, t, j, field)
+                if minimal_by_all_subtracks(sub, t, j, p)
             ]
             + [
                 (sub, "unextended")
                 for sub in itertools.combinations(ids, t)
-                if is_unextended(sub, t, j, field)
+                if unextended_by_all_subtracks(sub, t, j, p)
             ]
         )
     return per_index
@@ -239,7 +250,7 @@ def test_recover_dispatch():
 def test_share_table_lookups():
     table = deal(CFG, SV)
     assert table.share(2) == 3
-    assert table.as_dict()[6] == 3
+    assert table.subset([6, 2, 6]) == [(2, 3), (6, 3)]
     with pytest.raises(ParameterError):
         table.share(9)
 
@@ -264,6 +275,7 @@ def test_round_trip_larger_instance(seed):
     sv = SecretVector.random(f13, 7, seed)
     table = deal(cfg, sv)
     for ids in [(1, 2, 3, 4, 5, 6, 7), (2, 4, 6, 8, 10, 11, 12)]:
-        assert solve_shares(table.subset(ids), cfg) == sv.coefficients
+        subset = table.subset(ids)
+        assert [recover(subset, j, cfg) for j in range(7)] == list(sv.coefficients)
     # a known privileged coalition for j = 3
     assert recover(table.subset([1, 5, 8, 12]), 3, cfg) == sv.secrets[3]

@@ -12,7 +12,6 @@ from privcoal import (
     as_track,
     elem_sym,
     elem_sym_all,
-    generalized_vandermonde_det,
     poly_eval,
     vandermonde_det,
 )
@@ -125,26 +124,13 @@ def test_vandermonde_examples():
     assert vandermonde_det(track, f31) == det_gauss(power_matrix, 31)
 
 
-def test_generalized_vandermonde():
-    f7 = PrimeField(7)
-    assert generalized_vandermonde_det((5,), (3,), f7) == pow(5, 3, 7)
-    assert generalized_vandermonde_det((2, 3), (0, 2), f7) == 5  # 3^2 - 2^2
-    with pytest.raises(ParameterError):
-        generalized_vandermonde_det((2, 3), (0, 1, 2), f7)
-    with pytest.raises(ParameterError):
-        generalized_vandermonde_det((2, 3), (2, 0), f7)
-    with pytest.raises(ParameterError):
-        generalized_vandermonde_det((2, 3), (-1, 0), f7)
-
-
-def test_generalized_matches_classical_small_fields_exhaustive():
+def test_vandermonde_matches_power_matrix_exhaustive():
     for p in (5, 7, 11, 13):
         f = PrimeField(p)
         for r in range(1, 6):
-            exponents = tuple(range(r))
             for track in itertools.combinations(range(1, p), r):
-                assert generalized_vandermonde_det(track, exponents, f) == \
-                    vandermonde_det(track, f)
+                power_matrix = [[pow(x, v, p) for v in range(r)] for x in track]
+                assert vandermonde_det(track, f) == det_gauss(power_matrix, p)
 
 
 @settings(max_examples=150)
@@ -152,11 +138,11 @@ def test_generalized_matches_classical_small_fields_exhaustive():
     st.sampled_from([17, 19, 23, 29, 31]),
     st.sets(st.integers(min_value=1, max_value=30), min_size=1, max_size=5),
 )
-def test_generalized_matches_classical_larger_fields(p, values):
+def test_vandermonde_matches_power_matrix_larger_fields(p, values):
     values = {v for v in values if v < p}
     if not values:
         values = {1}
     f = PrimeField(p)
     track = tuple(sorted(values))
-    assert generalized_vandermonde_det(track, tuple(range(len(track))), f) == \
-        vandermonde_det(track, f)
+    power_matrix = [[pow(x, v, p) for v in range(len(track))] for x in track]
+    assert vandermonde_det(track, f) == det_gauss(power_matrix, p)
