@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Audit small instances exhaustively and summarize what leaks.
 
-Deals a polynomial over a desk-scale field, then enumerates every
-coefficient vector consistent with every participant subset to classify
-each (subset, secret, known-secrets) cell as determined, uniform, or
-leaky.  The output shows the two leak mechanisms of this construction:
+Deals a polynomial over a desk-scale field, then computes the exact
+distribution of each secret given every participant subset's shares
+(and the secrets it is assumed to know) to classify each (subset,
+secret, known-secrets) cell as determined, uniform, or leaky.  The
+output shows the two leak mechanisms of this construction:
 
 * a below-threshold subset whose kernel ties a secret to the nonzero
   blinding coefficient can exclude exactly one candidate value, and

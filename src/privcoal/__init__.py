@@ -1,7 +1,7 @@
 """Privileged-coalition theory for Shamir-style sharing with the secret
 in an arbitrary coefficient: coalition enumeration over prime fields,
 multi-secret access structures, the full deal/recover protocol, and an
-exhaustive perfectness auditor."""
+exact perfectness auditor."""
 
 __version__ = "0.1.0"
 
@@ -9,8 +9,6 @@ from .audit import (
     ALL_NONZERO,
     FULL_FIELD,
     AuditReport,
-    conditional_distribution,
-    consistent_polynomials,
     ideality_check,
     perfectness_report,
 )
@@ -65,8 +63,6 @@ __all__ = [
     "ShareTable",
     "Track",
     "as_track",
-    "conditional_distribution",
-    "consistent_polynomials",
     "deal",
     "derive_access_structure",
     "elem_sym",

@@ -1,10 +1,17 @@
-"""Exhaustive information-theoretic audit of a dealt scheme instance.
+"""Exact information-theoretic audit of a dealt scheme instance.
 
 For every participant subset A (up to size t), every secret index j, and
-every set T of other secret indices assumed known, the auditor
-enumerates the exact set of coefficient vectors consistent with A's
-shares and tallies the conditional distribution of s_j.  Verdicts come
-from exact integer counts, never floating point:
+every set T of other secret indices assumed known, the auditor computes
+the exact conditional distribution of s_j given A's shares and T.  No
+coefficient vector is enumerated.  A's shares leave an affine space
+a = x + B.alpha of coefficient vectors, alpha ranging over F_p^dim; each
+known secret adds one linear equation on alpha.  The coefficient domain
+(nonzero blinding, or every coefficient nonzero) is counted by
+inclusion-exclusion over the patterns Z of restricted coordinates forced
+to zero: each consistent pattern is again an affine space, signed by
+(-1)^|Z|, on which s_j is either constant (adding p^dim to one value)
+or exactly uniform (adding p^(dim-1) to every value).  Verdicts come
+from these exact integer counts, never floating point:
 
 * determined - a point mass (the subset pins the secret down),
 * uniform    - literally equal counts over the whole coefficient domain,
@@ -13,18 +20,20 @@ from exact integer counts, never floating point:
 
 The audit passes only when authorized subsets are determined at the
 dealt value and unauthorized ones stay exactly uniform for every T.
+Histograms of violating cells are written out value by value over F_p,
+so instances with p^t above the enumeration guard are refused (CLI exit
+code 4).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping
 
 from . import linalg
 from .coalition import privileged_rank_oracle
 from .errors import CapacityError, ParameterError
-from .scheme import SchemeConfig, SecretVector, SharePairs, deal, _normalize_pairs
+from .scheme import SchemeConfig, SecretVector, deal
 from .symfun import Track
 
 FULL_FIELD = "full-field"  # secrets range over F_p, blinding nonzero
@@ -48,80 +57,73 @@ def _check_domain(domain: str) -> None:
         raise ParameterError(f"unknown coefficient domain {domain!r}")
 
 
-def _admissible(vec: tuple[int, ...], domain: str) -> bool:
-    if domain == FULL_FIELD:
-        return vec[-1] != 0
-    return all(vec)
+class _ConsistentSpace:
+    """The coefficient vectors in the domain that match one subset's
+    shares, as a signed sum of affine spaces.
 
-
-def consistent_polynomials(
-    shares: SharePairs | Mapping[int, int],
-    cfg: SchemeConfig,
-    domain: str = FULL_FIELD,
-) -> Iterator[tuple[int, ...]]:
-    """All coefficient vectors in the domain matching the given shares.
-
-    The share equations carve an affine subspace out of F_p^t; the
-    subspace is enumerated directly (one kernel coordinate per missing
-    constraint) and filtered by the domain predicate.  Inconsistent
-    shares yield an empty stream.
+    Coordinate i of a matching vector is base[i] + coords[i] . alpha.
+    Each inclusion-exclusion term is (sign, echelon): the echelon holds
+    the equations on alpha of the known secrets and of one zero pattern,
+    and the term's space has dimension dim - len(echelon).
     """
-    _check_capacity(cfg)
-    _check_domain(domain)
-    pairs = _normalize_pairs(shares)
-    known = set(cfg.identities)
-    for i, _ in pairs:
-        if i not in known:
-            raise ParameterError(f"identity {i} is not a participant")
-    t, p = cfg.t, cfg.field.p
-    rows = [[pow(i, v, p) for v in range(t)] for i, _ in pairs]
-    rhs = [y % p for _, y in pairs]
-    solution = linalg.solve_affine(rows, rhs, p, t)
-    if solution is None:
-        return
-    particular, basis = solution
-    if not basis:
-        vec = tuple(particular)
-        if _admissible(vec, domain):
-            yield vec
-        return
-    for alphas in itertools.product(range(p), repeat=len(basis)):
-        vec = list(particular)
-        for a, kvec in zip(alphas, basis):
-            if a:
-                for idx, coord in enumerate(kvec):
-                    vec[idx] = (vec[idx] + a * coord) % p
-        tvec = tuple(vec)
-        if _admissible(tvec, domain):
-            yield tvec
 
+    def __init__(
+        self, base: list[int], basis: list[list[int]], dealt: tuple[int, ...],
+        restricted: tuple[int, ...], p: int,
+    ) -> None:
+        self.base = base
+        self.coords = [[vec[i] for vec in basis] for i in range(len(base))]
+        self.dim = len(basis)
+        self.dealt = dealt
+        self.restricted = restricted
+        self.p = p
+        self._terms: dict[tuple[int, ...], list[tuple[int, linalg.Echelon]]] = {}
 
-def conditional_distribution(
-    shares: SharePairs | Mapping[int, int],
-    j: int,
-    known_secrets: Mapping[int, int],
-    cfg: SchemeConfig,
-    domain: str = FULL_FIELD,
-) -> dict[int, int]:
-    """Exact histogram of s_j given the shares and the known secrets.
+    def _equation(self, i: int, value: int) -> list[int]:
+        return self.coords[i] + [(value - self.base[i]) % self.p]
 
-    known_secrets maps secret indices (0..t-2, excluding j) to their
-    values; the count for each candidate value of s_j is the number of
-    consistent coefficient vectors realizing it.
-    """
-    if not 0 <= j <= cfg.t - 2:
-        raise ParameterError(f"secret index {j} outside [0, {cfg.t - 2}]")
-    for idx in known_secrets:
-        if not 0 <= idx <= cfg.t - 2:
-            raise ParameterError(f"known-secret index {idx} outside [0, {cfg.t - 2}]")
-        if idx == j:
-            raise ParameterError(f"index {j} cannot be both target and known")
-    hist: dict[int, int] = {}
-    items = tuple(known_secrets.items())
-    for vec in consistent_polynomials(shares, cfg, domain):
-        if all(vec[idx] == val for idx, val in items):
-            hist[vec[j]] = hist.get(vec[j], 0) + 1
-    return hist
+    def terms(self, known: tuple[int, ...]) -> list[tuple[int, linalg.Echelon]]:
+        """Terms for the secrets in `known` fixed at their dealt values;
+        every secret index outside `known` shares them."""
+        if known in self._terms:
+            return self._terms[known]
+        echelon: linalg.Echelon = []
+        for k in known:
+            echelon = linalg.extend_echelon(echelon, self._equation(k, self.dealt[k]), self.p)
+            assert echelon is not None, "the dealt vector agrees with its own secrets"
+        # depth-first over zero patterns; a pattern that contradicts the
+        # equations so far does so for every pattern containing it
+        out = []
+        stack = [(echelon, 0, 1)]
+        while stack:
+            echelon, start, sign = stack.pop()
+            out.append((sign, echelon))
+            for pos in range(start, len(self.restricted)):
+                row = self._equation(self.restricted[pos], 0)
+                grown = linalg.extend_echelon(echelon, row, self.p)
+                if grown is not None:
+                    stack.append((grown, pos + 1, -sign))
+        self._terms[known] = out
+        return out
+
+    def count(self) -> int:
+        return sum(sign * self.p ** (self.dim - len(e)) for sign, e in self.terms(()))
+
+    def histogram(self, j: int, known: tuple[int, ...]) -> tuple[int, dict[int, int]]:
+        """Counts of s_j as (level, points): every value occurs
+        level + points.get(value, 0) times; points holds no zero entry."""
+        p = self.p
+        level = 0
+        points: dict[int, int] = {}
+        for sign, echelon in self.terms(known):
+            dim = self.dim - len(echelon)
+            rest = linalg.reduce_row(echelon, self.coords[j] + [0], p)
+            if any(rest[:-1]):
+                level += sign * p ** (dim - 1)
+            else:
+                value = (self.base[j] - rest[-1]) % p
+                points[value] = points.get(value, 0) + sign * p**dim
+        return level, {v: c for v, c in points.items() if c}
 
 
 DETERMINED = "determined"
@@ -129,15 +131,28 @@ UNIFORM = "uniform"
 LEAKY = "leaky"
 
 
-def _classify(hist: dict[int, int], p: int, domain: str) -> str:
-    support = [v for v, c in hist.items() if c]
-    if len(support) == 1:
+def _classify(level: int, points: dict[int, int], p: int, domain: str) -> str:
+    """Verdict for value counts level + points.get(v, 0), v in F_p."""
+    support = (p - len(points) if level else 0) + sum(
+        1 for c in points.values() if level + c
+    )
+    if support == 1:
         return DETERMINED
-    full = range(p) if domain == FULL_FIELD else range(1, p)
-    counts = {hist.get(v, 0) for v in full}
+    lo = 0 if domain == FULL_FIELD else 1
+    in_domain = [level + c for v, c in points.items() if v >= lo]
+    counts = set(in_domain)
+    if len(in_domain) < p - lo:  # some domain value carries the level alone
+        counts.add(level)
     if len(counts) == 1 and 0 not in counts:
         return UNIFORM
     return LEAKY
+
+
+def _materialize(level: int, points: dict[int, int], p: int) -> tuple[tuple[int, int], ...]:
+    if not level:
+        return tuple(sorted(points.items()))
+    counts = ((v, level + points.get(v, 0)) for v in range(p))
+    return tuple((v, c) for v, c in counts if c)
 
 
 @dataclass(frozen=True)
@@ -196,7 +211,7 @@ def perfectness_report(
     domain: str = FULL_FIELD,
     seed: int = 0,
 ) -> AuditReport:
-    """Audit one dealt instance exhaustively.
+    """Audit one dealt instance, every cell exactly.
 
     Deals the given secret vector (or a seed-derived one), then checks
     every (subset, j, known-set) cell.  Under the full-field domain the
@@ -218,12 +233,15 @@ def perfectness_report(
     cells: list[AuditCell] = []
     violations: list[AuditCell] = []
     notes: list[str] = []
+    restricted = (t - 1,) if domain == FULL_FIELD else tuple(range(t))
 
     for size in range(0, t + 1):
         for subset in itertools.combinations(cfg.identities, size):
             pairs = table.subset(subset)
-            vectors = list(consistent_polynomials(pairs, cfg, domain))
-            if not vectors:
+            rows = [[pow(i, v, p) for v in range(t)] for i, _ in pairs]
+            solution = linalg.solve_affine(rows, [y for _, y in pairs], p, t)
+            space = solution and _ConsistentSpace(*solution, dealt, restricted, p)
+            if space is None or not space.count():
                 notes.append(f"subset {subset}: no consistent polynomial (tampered shares?)")
                 violations.append(
                     AuditCell(subset=subset, j=-1, known=(), authorized=False, verdict=LEAKY)
@@ -234,16 +252,11 @@ def perfectness_report(
                 others = [i for i in secret_indices if i != j]
                 for ksize in range(len(others) + 1):
                     for known in itertools.combinations(others, ksize):
-                        hist: dict[int, int] = {}
-                        for vec in vectors:
-                            if all(vec[idx] == dealt[idx] for idx in known):
-                                hist[vec[j]] = hist.get(vec[j], 0) + 1
-                        verdict = _classify(hist, p, domain)
+                        level, points = space.histogram(j, known)
+                        verdict = _classify(level, points, p, domain)
                         ok = True
                         if authorized:
-                            ok = verdict == DETERMINED and hist.get(dealt[j], 0) == sum(
-                                hist.values()
-                            )
+                            ok = verdict == DETERMINED and level + points.get(dealt[j], 0) > 0
                         elif domain == FULL_FIELD:
                             ok = verdict == UNIFORM
                         elif verdict != UNIFORM:
@@ -257,7 +270,7 @@ def perfectness_report(
                             known=known,
                             authorized=authorized,
                             verdict=verdict,
-                            histogram=tuple(sorted(hist.items())) if not ok else None,
+                            histogram=_materialize(level, points, p) if not ok else None,
                         )
                         cells.append(cell)
                         if not ok:

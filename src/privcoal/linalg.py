@@ -7,6 +7,9 @@ nothing here mutates its inputs.
 
 from __future__ import annotations
 
+# (pivot column, row) pairs, as built by extend_echelon
+Echelon = list[tuple[int, list[int]]]
+
 
 def row_echelon(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form mod p; returns (matrix, pivot columns)."""
@@ -97,3 +100,35 @@ def solve_affine(
             vec[col] = -m[i][f] % p
         basis.append(vec)
     return particular, basis
+
+
+def reduce_row(echelon: Echelon, row: list[int], p: int) -> list[int]:
+    """The row minus its components along the echelon rows, taken in order.
+
+    Each echelon row is 1 at its pivot and 0 at the pivots of the rows
+    before it, so one pass in order leaves the result 0 at every pivot.
+    The result is all zero exactly when the row lies in the echelon's
+    row span.
+    """
+    v = [x % p for x in row]
+    for col, base in echelon:
+        f = v[col]
+        if f:
+            v = [(a - f * b) % p for a, b in zip(v, base)]
+    return v
+
+
+def extend_echelon(echelon: Echelon, row: list[int], p: int) -> Echelon | None:
+    """Add one equation to an echelon of augmented rows (last entry the
+    right-hand side).
+
+    Returns the same echelon when the equation is implied by it, a new
+    one a row longer when it is independent, and None when it
+    contradicts the equations already there.
+    """
+    v = reduce_row(echelon, row, p)
+    col = next((c for c in range(len(v) - 1) if v[c]), None)
+    if col is None:
+        return None if v[-1] else echelon
+    inv = pow(v[col], -1, p)
+    return echelon + [(col, [x * inv % p for x in v])]

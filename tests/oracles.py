@@ -154,3 +154,96 @@ def minimal_privileged_brute(ids, t, j, p, lengths):
             ):
                 out.append(track)
     return out
+
+
+def coefficient_domain(t, p, domain):
+    """Every coefficient vector of the domain: blinding (last) coefficient
+    nonzero for "full-field", every coefficient nonzero for "all-nonzero"."""
+    if domain == "full-field":
+        return [vec for vec in itertools.product(range(p), repeat=t) if vec[-1]]
+    return list(itertools.product(range(1, p), repeat=t))
+
+
+def consistent_vectors(pairs, t, p, domain="full-field"):
+    """The domain's coefficient vectors whose polynomial takes every share."""
+    return [
+        vec
+        for vec in coefficient_domain(t, p, domain)
+        if all(eval_poly_int(vec, i, p) == y % p for i, y in pairs)
+    ]
+
+
+def conditional_histogram(pairs, j, known, p, t, domain="full-field"):
+    """Counts of s_j over the consistent vectors agreeing with the known
+    secrets (a dict index -> value)."""
+    hist = {}
+    for vec in consistent_vectors(pairs, t, p, domain):
+        if all(vec[idx] == val for idx, val in known.items()):
+            hist[vec[j]] = hist.get(vec[j], 0) + 1
+    return hist
+
+
+def verdict(hist, values):
+    """determined (one value occurs), uniform (every value of the domain
+    occurs equally often) or leaky."""
+    if len(hist) == 1:
+        return "determined"
+    counts = {hist.get(v, 0) for v in values}
+    return "uniform" if len(counts) == 1 and 0 not in counts else "leaky"
+
+
+def audit_brute(t, p, ids, coefficients, domain):
+    """The perfectness audit from its definition, by filtering the whole
+    coefficient domain for every participant subset.
+
+    Returns (cells, violations, notes): a cell is (subset, j, known,
+    authorized, verdict, histogram), the histogram a sorted tuple of
+    (value, count) pairs given only for violating cells, and a subset
+    with no consistent vector is the violation (subset, -1, (), False,
+    "leaky", None).
+    """
+    ids = sorted(ids)
+    space = coefficient_domain(t, p, domain)
+    shares = [eval_poly_int(coefficients, i, p) for i in ids]
+    agree = [
+        {i for i, y in zip(ids, shares) if eval_poly_int(vec, i, p) == y}
+        for vec in space
+    ]
+    values = range(p) if domain == "full-field" else range(1, p)
+    cells, violations, notes = [], [], []
+    for size in range(t + 1):
+        for subset in itertools.combinations(ids, size):
+            consistent = [vec for vec, hits in zip(space, agree) if hits.issuperset(subset)]
+            if not consistent:
+                notes.append(f"subset {subset}: no consistent polynomial (tampered shares?)")
+                violations.append((subset, -1, (), False, "leaky", None))
+                continue
+            for j in range(t - 1):
+                authorized = size == t or determines_coefficient(subset, t, j, p)
+                others = [k for k in range(t - 1) if k != j]
+                for ksize in range(len(others) + 1):
+                    for known in itertools.combinations(others, ksize):
+                        hist = {}
+                        for vec in consistent:
+                            if all(vec[k] == coefficients[k] for k in known):
+                                hist[vec[j]] = hist.get(vec[j], 0) + 1
+                        seen = verdict(hist, values)
+                        if authorized:
+                            ok = set(hist) == {coefficients[j]}
+                        elif domain == "full-field":
+                            ok = seen == "uniform"
+                        else:
+                            ok = True
+                            if seen != "uniform":
+                                notes.append(
+                                    f"subset {subset} j={j} known={known}: "
+                                    "non-uniform under all-nonzero (informational)"
+                                )
+                        cell = (
+                            subset, j, known, authorized, seen,
+                            None if ok else tuple(sorted(hist.items())),
+                        )
+                        cells.append(cell)
+                        if not ok:
+                            violations.append(cell)
+    return cells, violations, notes

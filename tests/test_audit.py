@@ -1,12 +1,12 @@
-"""Exhaustive audit: consistent-space enumeration and verdicts.
+"""Perfectness audit: the closed-form report against a brute force.
 
 The expected values here were frozen from a from-scratch brute force
 (enumerate the whole coefficient domain, filter by share equations);
-see oracle_histogram below.  Notably, the construction is NOT leak-free:
-restricting the top coefficient to nonzero values lets some unauthorized
-subsets exclude one candidate value of a secret, and knowing enough of
-the other secrets can substitute for missing shares outright.  The audit
-is expected to detect both effects.
+see the oracles in oracles.py.  Notably, the construction is NOT
+leak-free: restricting the top coefficient to nonzero values lets some
+unauthorized subsets exclude one candidate value of a secret, and
+knowing enough of the other secrets can substitute for missing shares
+outright.  The audit is expected to detect both effects.
 """
 
 import itertools
@@ -21,128 +21,118 @@ from privcoal import (
     PrimeField,
     SchemeConfig,
     SecretVector,
-    conditional_distribution,
-    consistent_polynomials,
     deal,
     ideality_check,
     perfectness_report,
 )
 
-from oracles import eval_poly_int
+from oracles import audit_brute, conditional_histogram, consistent_vectors, verdict
 
 F7 = PrimeField(7)
 CFG = SchemeConfig(t=5, field=F7, identities=range(1, 7))
 SV = SecretVector(secrets=(1, 2, 3, 4), blinding=5, field=F7)
 TABLE = deal(CFG, SV)
-
-
-def oracle_histogram(pairs, j, known, p, t, domain=FULL_FIELD):
-    """Brute force over the whole coefficient domain, no linear algebra."""
-    hist = {}
-    for vec in itertools.product(range(p), repeat=t):
-        if domain == FULL_FIELD and vec[-1] == 0:
-            continue
-        if domain == ALL_NONZERO and not all(vec):
-            continue
-        if any(eval_poly_int(vec, i, p) != y for i, y in pairs):
-            continue
-        if any(vec[idx] != val for idx, val in known.items()):
-            continue
-        hist[vec[j]] = hist.get(vec[j], 0) + 1
-    return hist
+REPORT = perfectness_report(CFG, secret_vector=SV)
+CELLS = {(c.subset, c.j, c.known): c for c in REPORT.cells}
 
 
 def test_consistent_counts():
-    assert sum(1 for _ in consistent_polynomials([], CFG)) == 6 * 7**4
-    assert sum(1 for _ in consistent_polynomials(TABLE.subset([1]), CFG)) == 6 * 7**3
-    assert list(consistent_polynomials(TABLE.subset(range(1, 7)), CFG)) == \
-        [SV.coefficients]
+    assert len(consistent_vectors([], 5, 7)) == 6 * 7**4
+    assert len(consistent_vectors(TABLE.subset([1]), 5, 7)) == 6 * 7**3
+    assert consistent_vectors(TABLE.subset(range(1, 7)), 5, 7) == [SV.coefficients]
 
 
 def test_consistent_monotone_under_more_shares():
-    small = set(consistent_polynomials(TABLE.subset([1, 2]), CFG))
-    big = set(consistent_polynomials(TABLE.subset([1, 2, 4]), CFG))
+    small = set(consistent_vectors(TABLE.subset([1, 2]), 5, 7))
+    big = set(consistent_vectors(TABLE.subset([1, 2, 4]), 5, 7))
     assert big < small
 
 
 def test_consistent_all_nonzero_domain():
-    vectors = list(consistent_polynomials([], CFG, domain=ALL_NONZERO))
+    vectors = consistent_vectors([], 5, 7, domain=ALL_NONZERO)
     assert len(vectors) == 6**5
     assert all(all(vec) for vec in vectors)
 
 
 def test_inconsistent_shares_yield_nothing():
     bad = [(1, 1), (2, 3), (3, 1), (4, 4), (5, 1), (6, 0)]  # last share corrupted
-    assert list(consistent_polynomials(bad, CFG)) == []
+    assert consistent_vectors(bad, 5, 7) == []
 
 
 def test_capacity_guard():
     big = SchemeConfig(t=7, field=PrimeField(101), identities=range(1, 9))
     with pytest.raises(CapacityError, match="10+"):
-        list(consistent_polynomials([], big))
-    with pytest.raises(CapacityError):
         perfectness_report(big)
 
 
 def test_conditional_distribution_matches_oracle():
     cases = [
-        ([1, 2], 2, {}),
-        ([1, 2], 2, {0: 1, 1: 2, 3: 4}),
-        ([1, 2, 4], 2, {}),
-        ([1, 2, 4], 1, {}),
-        ([1, 2, 3, 4], 0, {}),
-        ([1, 2, 3, 4], 3, {0: 1}),
+        ([1, 2], 2, ()),
+        ([1, 2], 2, (0, 1, 3)),
+        ([1, 2, 4], 2, ()),
+        ([1, 2, 4], 1, ()),
+        ([1, 2, 3, 4], 0, ()),
+        ([1, 2, 3, 4], 3, (0,)),
     ]
     for ids, j, known in cases:
-        pairs = TABLE.subset(ids)
-        got = conditional_distribution(pairs, j, known, CFG)
-        assert got == oracle_histogram(pairs, j, known, 7, 5)
+        hist = conditional_histogram(
+            TABLE.subset(ids), j, {k: SV.coefficients[k] for k in known}, 7, 5
+        )
+        cell = CELLS[(tuple(ids), j, known)]
+        assert cell.verdict == verdict(hist, range(7))
+        if cell.histogram is not None:
+            assert cell.histogram == tuple(sorted(hist.items()))
 
 
 def test_unauthorized_pair_is_uniform():
-    hist = conditional_distribution(TABLE.subset([1, 2]), 2, {}, CFG)
+    hist = conditional_histogram(TABLE.subset([1, 2]), 2, {}, 7, 5)
     assert hist == {v: 42 for v in range(7)}
+    cell = CELLS[((1, 2), 2, ())]
+    assert not cell.authorized and cell.verdict == "uniform"
 
 
 def test_authorized_coalition_is_point_mass():
-    hist = conditional_distribution(TABLE.subset([1, 2, 4]), 2, {}, CFG)
+    hist = conditional_histogram(TABLE.subset([1, 2, 4]), 2, {}, 7, 5)
     assert hist == {3: 42}
+    cell = CELLS[((1, 2, 4), 2, ())]
+    assert cell.authorized and cell.verdict == "determined"
+    assert cell not in REPORT.violations
 
 
 def test_known_secrets_can_substitute_for_shares():
     # two shares plus three known secrets leave a 2x2 invertible system,
     # so the remaining secret is pinned down exactly
-    hist = conditional_distribution(TABLE.subset([1, 2]), 2, {0: 1, 1: 2, 3: 4}, CFG)
-    assert hist == {3: 1}
+    cell = CELLS[((1, 2), 2, (0, 1, 3))]
+    assert not cell.authorized and cell.verdict == "determined"
+    assert cell.histogram == ((3, 1),)
 
 
 def test_nonzero_blinding_excludes_one_value():
     # (1,2,4) determines s_2; for s_1 it can rule out exactly one value
     # because s_1 and the blinding coefficient are proportional on the
     # kernel of its share system
-    hist = conditional_distribution(TABLE.subset([1, 2, 4]), 1, {}, CFG)
+    cell = CELLS[((1, 2, 4), 1, ())]
+    assert cell.verdict == "leaky"
+    hist = dict(cell.histogram)
     assert sorted(hist.values()) == [7] * 6
     assert len(hist) == 6
     excluded = ({*range(7)} - set(hist)).pop()
     assert excluded == (SV.secrets[1] + SV.blinding) % 7
 
 
-def test_conditional_validation():
-    with pytest.raises(ParameterError):
-        conditional_distribution(TABLE.subset([1]), 4, {}, CFG)  # blinding index
-    with pytest.raises(ParameterError):
-        conditional_distribution(TABLE.subset([1]), 2, {2: 0}, CFG)
-    with pytest.raises(ParameterError):
-        conditional_distribution(TABLE.subset([1]), 2, {4: 0}, CFG)
-
-
 def test_histogram_mass_conservation():
-    for ids in [(1,), (1, 2), (1, 2, 4), (2, 3, 5, 6)]:
-        pairs = TABLE.subset(ids)
-        total = sum(1 for _ in consistent_polynomials(pairs, CFG))
-        for j in range(4):
-            hist = conditional_distribution(pairs, j, {}, CFG)
-            assert sum(hist.values()) == total
+    # every histogram the report writes out counts each consistent
+    # vector agreeing with the known secrets exactly once
+    for cell in REPORT.violations:
+        if cell.subset not in [(1,), (1, 2), (1, 2, 4), (2, 3, 5, 6)]:
+            continue
+        known = {k: SV.coefficients[k] for k in cell.known}
+        total = sum(
+            1
+            for vec in consistent_vectors(TABLE.subset(cell.subset), 5, 7)
+            if all(vec[k] == v for k, v in known.items())
+        )
+        assert sum(c for _, c in cell.histogram) == total
 
 
 def test_perfectness_report_structure():
@@ -175,7 +165,7 @@ def test_perfectness_report_verdicts_match_oracle():
         ((1, 2, 3, 4), 0, ()),
     ]:
         cell = by_key[(ids, j, known)]
-        hist = oracle_histogram(
+        hist = conditional_histogram(
             TABLE.subset(ids), j, {k: SV.coefficients[k] for k in known}, 7, 5
         )
         if len(hist) == 1:
@@ -186,10 +176,23 @@ def test_perfectness_report_verdicts_match_oracle():
             assert cell.verdict == "leaky"
 
 
-def test_tampered_shares_have_no_consistent_polynomial():
-    pairs = TABLE.subset(range(1, 7))
-    pairs[0] = (1, (pairs[0][1] + 1) % 7)
-    assert list(consistent_polynomials(pairs, CFG)) == []
+def test_zero_secret_leaves_no_consistent_polynomial():
+    # under all-nonzero a zero secret rules out the dealt vector, the one
+    # polynomial t shares allow; smaller subsets keep other vectors
+    sv = SecretVector(secrets=(0, 2), blinding=3, field=F7)
+    cfg = SchemeConfig(t=3, field=F7, identities=(1, 3, 4, 6))
+    report = perfectness_report(cfg, secret_vector=sv, domain=ALL_NONZERO)
+    empty = {c.subset for c in report.violations if c.j == -1}
+    assert empty == set(itertools.combinations(cfg.identities, 3))
+    for subset in empty:
+        assert consistent_vectors(deal(cfg, sv).subset(subset), 3, 7, ALL_NONZERO) == []
+        assert f"subset {subset}: no consistent polynomial (tampered shares?)" in report.notes
+    # knowing s_0 = 0 leaves no admissible vector: the coalitions
+    # authorized for s_1 get an empty histogram
+    assert [(c.subset, c.histogram) for c in report.violations if c.j != -1] == [
+        ((1, 6), ()),
+        ((3, 4), ()),
+    ]
 
 
 def test_all_nonzero_domain_is_informational():
@@ -225,3 +228,49 @@ def test_report_to_dict():
     assert doc["passed"] is False
     assert doc["cells_checked"] == 2016
     assert doc["secrets"] == [1, 2, 3, 4] and doc["blinding"] == 5
+
+
+# (t, p, identities, seed or explicit (secrets, blinding)); explicit
+# vectors put a zero secret under the all-nonzero domain, which leaves
+# full subsets without a consistent polynomial, empties histograms, and
+# (the last case) gives cells whose every value carries a point mass
+EQUIVALENCE_CASES = [
+    (2, 101, (3, 17, 50, 99), 0),
+    (2, 101, (3, 17, 50, 99), ((0,), 7)),
+    (3, 13, (2, 5, 9, 11), 0),
+    (3, 13, (2, 5, 9, 11), 1),
+    (3, 13, (2, 5, 9, 11), ((0, 4), 9)),
+    (3, 5, (1, 2, 4), 2),
+    (4, 5, (1, 2, 3, 4), 0),
+    (4, 5, (1, 2, 3, 4), 1),
+    (4, 7, (1, 2, 4, 5, 6), 3),
+    (4, 7, (1, 2, 4, 5, 6), 8),
+    (4, 7, (1, 2, 4, 5, 6), ((3, 0, 5), 2)),
+    (4, 11, (1, 3, 4, 7, 10), 1),
+    (4, 11, (1, 2, 3, 4, 5, 6), 5),
+    (4, 13, (2, 3, 5, 8, 12), 2),
+    (5, 7, (1, 2, 3, 5, 6), 0),
+    (5, 7, (1, 2, 3, 4, 5, 6), ((0, 3, 0, 3), 1)),
+]
+
+
+@pytest.mark.parametrize("domain", [FULL_FIELD, ALL_NONZERO])
+@pytest.mark.parametrize("t, p, ids, vector", EQUIVALENCE_CASES)
+def test_report_matches_brute_force_audit(t, p, ids, vector, domain):
+    field = PrimeField(p)
+    cfg = SchemeConfig(t=t, field=field, identities=ids)
+    if isinstance(vector, int):
+        sv = SecretVector.random(field, t, vector)
+    else:
+        sv = SecretVector(secrets=vector[0], blinding=vector[1], field=field)
+    report = perfectness_report(cfg, secret_vector=sv, domain=domain)
+    cells, violations, notes = audit_brute(t, p, ids, sv.coefficients, domain)
+
+    def flat(cell):
+        return (cell.subset, cell.j, cell.known, cell.authorized, cell.verdict,
+                cell.histogram)
+
+    assert [flat(c) for c in report.cells] == cells
+    assert [flat(c) for c in report.violations] == violations
+    assert list(report.notes) == notes
+    assert report.passed == (not violations)

@@ -1,10 +1,17 @@
 """Command-line surface: documents, formats, exit codes, determinism."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import privcoal
 from privcoal.cli import main
+
+TESTS_DIR = pathlib.Path(__file__).parent
 
 
 def run(capsys, *argv):
@@ -239,6 +246,42 @@ def test_audit_exit_codes(tmp_path, capsys):
     code, _, err = run(capsys, "audit", "--t", "7", "--p", "101", "--identities", "1..8")
     assert code == 4
     assert "guard" in err
+
+
+# committed stdout of `privcoal audit`, held byte for byte
+AUDIT_GOLDENS = [
+    ("goldens_audit_t4_p7_seed3_full-field.json", ["--t", "4", "--seed", "3"], 1),
+    (
+        "goldens_audit_t4_p7_seed3_all-nonzero.json",
+        ["--t", "4", "--seed", "3", "--domain", "all-nonzero"],
+        0,
+    ),
+    ("goldens_audit_t5_p7_seed0_full-field.json", ["--t", "5", "--seed", "0"], 1),
+]
+
+
+@pytest.mark.parametrize("name, args, expected_code", AUDIT_GOLDENS)
+def test_audit_output_matches_golden(capsys, name, args, expected_code):
+    golden = (TESTS_DIR / name).read_text()
+    code, out, err = run(capsys, "audit", "--p", "7", "--identities", "1..6", *args)
+    assert (code, err) == (expected_code, "")
+    assert out == golden
+
+
+def test_module_entry_point_runs_the_cli(capsys):
+    argv = ["audit", "--t", "3", "--p", "5", "--identities", "1..4"]
+    src = str(pathlib.Path(privcoal.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "privcoal.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    code, out, _ = run(capsys, *argv)
+    assert out.startswith("{")
+    assert (proc.returncode, proc.stdout) == (code, out)
 
 
 def test_output_files_written_atomically(tmp_path, capsys):
