@@ -13,13 +13,24 @@ output shows the two leak mechanisms of this construction:
   rest outright, because all secrets ride one polynomial.
 
     python scripts/perfectness_demo.py --t 5 --p 7 --n 6
+
+Exits 0 when the audit passes, 1 when it finds violating cells, and with
+the CLI's codes on bad input: 2 for a parameter error (identities must
+lie in 1..p-1, so n < p), 4 above the audit's size guard.
 """
 
 import argparse
 import sys
 from collections import Counter
 
-from privcoal import FULL_FIELD, PrimeField, SchemeConfig, perfectness_report
+from privcoal import (
+    FULL_FIELD,
+    CapacityError,
+    ParameterError,
+    PrimeField,
+    SchemeConfig,
+    perfectness_report,
+)
 
 
 def main(argv=None):
@@ -31,10 +42,17 @@ def main(argv=None):
     parser.add_argument("--max-examples", type=int, default=8)
     args = parser.parse_args(argv)
 
-    cfg = SchemeConfig(
-        t=args.t, field=PrimeField(args.p), identities=range(1, args.n + 1)
-    )
-    report = perfectness_report(cfg, domain=FULL_FIELD, seed=args.seed)
+    try:
+        cfg = SchemeConfig(
+            t=args.t, field=PrimeField(args.p), identities=range(1, args.n + 1)
+        )
+        report = perfectness_report(cfg, domain=FULL_FIELD, seed=args.seed)
+    except ParameterError as exc:
+        print(f"parameter error: {exc}", file=sys.stderr)
+        return 2
+    except CapacityError as exc:
+        print(f"capacity error: {exc}", file=sys.stderr)
+        return 4
 
     verdicts = Counter(cell.verdict for cell in report.cells)
     print(f"instance: t={args.t} p={args.p} identities=1..{args.n} seed={args.seed}")

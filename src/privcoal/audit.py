@@ -31,7 +31,6 @@ import itertools
 from dataclasses import dataclass
 
 from . import linalg
-from .coalition import privileged_rank_oracle
 from .errors import CapacityError, ParameterError
 from .scheme import SchemeConfig, SecretVector, deal
 from .symfun import Track
@@ -248,7 +247,8 @@ def perfectness_report(
                 )
                 continue
             for j in secret_indices:
-                authorized = size == t or privileged_rank_oracle(subset, t, j, field)
+                # a_j is determined when the kernel leaves coordinate j fixed
+                authorized = not any(space.coords[j])
                 others = [i for i in secret_indices if i != j]
                 for ksize in range(len(others) + 1):
                     for known in itertools.combinations(others, ksize):

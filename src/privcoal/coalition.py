@@ -14,7 +14,10 @@ tau_0 = 1 and tau_w = 0 for w > r encodes exactly the row-space
 condition); the test suite verifies the equivalence exhaustively.
 
 Enumeration does not test every r-subset: `privileged_tracks` walks the
-(r-1)-prefixes and solves the window equations for the last identity.
+(r-3)-prefixes with ladders cut at the top of the window, streams over
+the pairs of later identities below each, and solves the first window
+equation for the last identity; where that equation loses the last
+identity, so do all the others, and the prefix must be privileged.
 Privilege is monotone under supersets, so minimal coalitions and
 unextended t-subsets are decided by containment of the privileged
 coalitions one length shorter (`contains_privileged`).
@@ -23,7 +26,7 @@ coalitions one length shorter (`contains_privileged`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import linalg
 from .errors import ParameterError
@@ -130,15 +133,21 @@ def privileged_tracks(
 ) -> list[Track]:
     """Every (t, j)-privileged r-subset of the identities, lexicographically.
 
-    Walks the (r-1)-prefixes depth-first, extending the tau ladder by one
-    identity per level.  tau_w(prefix + {x}) = tau_w(prefix) +
-    x * tau_{w-1}(prefix) is linear in x, so the window equations leave at
-    most one last identity: the first w with tau_{w-1}(prefix) != 0 fixes
-    it, and it counts when it is an identity after the prefix that meets
-    the other equations.  When every tau_{w-1}(prefix) in the window
-    vanishes, x drops out and the equations hold exactly when the prefix
-    is itself privileged; then every later identity completes it.  That
-    is O(r) work per prefix instead of an O(r^2) ladder per r-subset.
+    The window equations tau_w = 0 for w in {lo, ..., b}, lo = r-j and
+    b = t-1-j, read no tau above b, so every ladder stops at tau_b.  The
+    depth-first walk extends the ladders of the (r-3)-prefixes P one
+    identity per level and stops there.  For each later identity z it
+    keeps only tau_{lo-2}..tau_b of the head P + {z}, and one
+    comprehension streams over every pair z < y below the heads.  With
+    Q = head + {y}, tau_w(Q + {x}) = tau_w(Q) + x * tau_{w-1}(Q) is linear
+    in x, so the first window equation fixes x = -tau_lo(Q) / tau_{lo-1}(Q).
+    x counts when it is an identity after y, and only those hits check
+    the remaining window equations.  When the denominator tau_{lo-1}(Q)
+    vanishes, x drops out of every equation (`dropped`): Q + {x} is then
+    privileged for every later x exactly when Q is, and those tracks come
+    out in place, so the result needs no sort.  Length r = 2 (t = 3) has
+    no z: its one head is the empty prefix.  That is O(1) work per
+    (r-1)-prefix and no full ladder below the (r-3)-prefixes.
     """
     ids = as_track(ids, field)
     _check_predicate_args(r, t, j, field)
@@ -146,38 +155,48 @@ def privileged_tracks(
     if j < t - r or j > r - 1 or r > n:
         return []
     p = field.p
-    window = range(r - j, t - j)
-    position = {x: k for k, x in enumerate(ids)}
-    found: list[Track] = []
+    lo, b = r - j, t - 1 - j
+    members = frozenset(ids)
+    rest = range(1, b - lo + 1)
 
-    def complete(prefix: Track, taus: list[int], start: int) -> None:
-        for w in window:
-            if taus[w - 1]:
-                x = -taus[w] * pow(taus[w - 1], -1, p) % p
-                if position.get(x, -1) >= start and all(
-                    (taus[v] + x * taus[v - 1]) % p == 0 for v in window
-                ):
-                    found.append(prefix + (x,))
-                return
-        # x dropped out: what is left is tau_{t-1-j}(prefix) = 0, the
-        # last equation of the prefix's own window test
-        if taus[t - 1 - j] == 0:
-            found.extend(prefix + (x,) for x in ids[start:])
+    def dropped(y: int, m: list[int]) -> Track:
+        # tau_{lo-1}(Q) = 0 for Q = head + {y}: the first window equation
+        # loses x and asks tau_lo(Q) = 0, which zeroes the next denominator,
+        # and so on up to b.  The equations then hold for every later x
+        # exactly when tau_lo(Q) = ... = tau_b(Q) = 0, i.e. when Q is itself
+        # privileged.
+        if any((m[i + 1] + y * m[i]) % p for i in range(1, len(m) - 1)):
+            return ()
+        return ids[ids.index(y) + 1 :]
 
-    def extend(prefix: Track, taus: list[int], start: int) -> None:
+    def heads(
+        prefix: Track, taus: list[int], start: int
+    ) -> Iterator[tuple[Track, int, list[int]]]:
+        # taus[w + 2] = tau_w(prefix) for w = -2..b; yields each (r-2)-prefix
+        # head, the index of the identity after it and its tau_{lo-2}..tau_b
         depth = len(prefix) + 1
-        pairs = list(zip(taus + [0], [0] + taus))
+        if depth == r - 2:
+            pairs = list(zip(taus[lo:], taus[lo - 1 :]))
+            for k in range(start, n - 2):
+                z = ids[k]
+                yield prefix + (z,), k + 1, [(a + z * c) % p for a, c in pairs]
+            return
+        pairs = list(zip(taus[2:], taus[1:]))
         for k in range(start, n - r + depth):
-            x = ids[k]
-            ladder = [(a + x * b) % p for a, b in pairs]
-            if depth == r - 1:
-                complete(prefix + (x,), ladder, k + 1)
-            else:
-                extend(prefix + (x,), ladder, k + 1)
+            v = ids[k]
+            yield from heads(prefix + (v,), [0, 0] + [(a + v * c) % p for a, c in pairs], k + 1)
 
-    # a nonempty window needs r >= 2, so every prefix has an identity
-    extend((), [1], 0)
-    return found
+    empty = [0, 0, 1] + [0] * b
+    return [
+        head + (y, x)
+        for head, k, m in (heads((), empty, 0) if r > 2 else [((), 0, empty[lo:])])
+        for y in ids[k : n - 1]
+        for d in ((m[1] + y * m[0]) % p,)
+        for x in ((-(m[2] + y * m[1]) * pow(d, -1, p) % p,) if d else dropped(y, m))
+        if x > y
+        and x in members
+        and all((m[i + 2] + (y + x) * m[i + 1] + y * x * m[i]) % p == 0 for i in rest)
+    ]
 
 
 def contains_privileged(track: Track, shorter: set[Track]) -> bool:

@@ -268,20 +268,67 @@ def test_audit_output_matches_golden(capsys, name, args, expected_code):
     assert out == golden
 
 
-def test_module_entry_point_runs_the_cli(capsys):
-    argv = ["audit", "--t", "3", "--p", "5", "--identities", "1..4"]
+# committed stdout of `privcoal enumerate`, `table` and `access-structure`
+EXPLORE_GOLDENS = json.loads((TESTS_DIR / "goldens_explore.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "golden", EXPLORE_GOLDENS, ids=lambda g: "_".join(g["argv"]).replace("--", "")
+)
+def test_explore_output_matches_golden(capsys, golden):
+    code, out, err = run(capsys, *golden["argv"])
+    assert (code, err) == (0, "")
+    assert out == golden["stdout"]
+
+
+def run_python(*args):
+    """Run a fresh interpreter that imports this privcoal."""
     src = str(pathlib.Path(privcoal.__file__).parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "privcoal.cli", *argv],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
         timeout=120,
     )
+
+
+def test_module_entry_point_runs_the_cli(capsys):
+    argv = ["audit", "--t", "3", "--p", "5", "--identities", "1..4"]
+    proc = run_python("-m", "privcoal.cli", *argv)
     code, out, _ = run(capsys, *argv)
     assert out.startswith("{")
     assert (proc.returncode, proc.stdout) == (code, out)
+
+
+SCRIPTS_DIR = TESTS_DIR.parent / "scripts"
+
+
+def test_census_script_matches_table_command(capsys):
+    proc = run_python(
+        str(SCRIPTS_DIR / "coalition_census.py"), "--t", "5", "--N", "8", "--primes", "11,13"
+    )
+    code, out, _ = run(capsys, "table", "--t", "5", "--N", "8", "--p", "11,13")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert code == 0 and out.count("\n") == 3
+    assert proc.stdout == out
+
+
+def test_perfectness_demo_script_runs():
+    demo = str(SCRIPTS_DIR / "perfectness_demo.py")
+    # t=4 p=5 leaks (acceptance criterion 8), so the demo exits 1 and
+    # shows both mechanisms
+    proc = run_python(demo, "--t", "4", "--p", "5", "--n", "4")
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert "cells checked: 192" in proc.stdout
+    assert "violating cells: 112" in proc.stdout
+    assert "excluded-value: 56 cells" in proc.stdout
+    assert "known-secrets-solve: 56 cells" in proc.stdout
+    # identity 5 is the zero residue of F_5: a parameter error, not a traceback
+    proc = run_python(demo, "--t", "4", "--p", "5", "--n", "5")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "parameter error: identity 5 outside [1, 4]\n"
 
 
 def test_output_files_written_atomically(tmp_path, capsys):

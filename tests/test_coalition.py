@@ -339,3 +339,29 @@ def test_reports_match_brute_force_lister():
     # non-minimal tracks, among them those whose (r-1)-prefix is privileged
     # and which the walk lists through its degenerate branch
     assert non_minimal > 0
+
+
+def test_walk_matches_brute_force_over_whole_small_fields():
+    """Every identity of F_p for small p, every t up to 7, every j and r.
+
+    This reaches length 2, the empty-prefix stage at length 3, windows of
+    several equations, and tracks whose first window equation loses the
+    last identity (a zero denominator at the pair stage).
+    """
+    seen = dict.fromkeys(["r=2", "r=3", "several equations", "zero denominator"], 0)
+    for p in (5, 7, 11, 13):
+        field = PrimeField(p)
+        ids = range(1, p)
+        for t in range(3, min(7, p - 1) + 1):
+            for j in range(t):
+                for r in range(1, t):
+                    want = privileged_tracks_brute(ids, r, t, j, p)
+                    assert privileged_tracks(ids, r, t, j, field) == want, (p, t, j, r)
+                    window = range(r - j, t - j)
+                    for track in want:
+                        den = elem_sym_subsets(track[:-1], r - j - 1) % p
+                        seen["r=2"] += r == 2
+                        seen["r=3"] += r == 3
+                        seen["several equations"] += len(window) > 1
+                        seen["zero denominator"] += r >= 3 and den == 0
+    assert all(seen.values()), seen
