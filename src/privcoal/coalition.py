@@ -6,8 +6,8 @@ Two independent characterizations are implemented:
 
 * the symmetric-function window test: tau_w(track) = 0 for every
   w in {r-j, ..., t-1-j}, and
-* a rank oracle: the j-th unit vector lies in the row space of the
-  coalition's power matrix.
+* a rank oracle: every vector in the kernel of the coalition's power
+  matrix is 0 at j, i.e. the j-th unit vector lies in its row space.
 
 They agree on every input (the window test with the conventions
 tau_0 = 1 and tau_w = 0 for w > r encodes exactly the row-space
@@ -71,15 +71,16 @@ def is_privileged(track: Track, t: int, j: int, field: PrimeField) -> bool:
 def privileged_rank_oracle(track: Track, t: int, j: int, field: PrimeField) -> bool:
     """Independent check: is a_j determined by the coalition's r shares?
 
-    Builds the r x t power matrix with rows (1, l, ..., l^(t-1)) and asks
-    whether the j-th unit vector lies in its row space.
+    Solves the homogeneous system of the r x t power matrix with rows
+    (1, l, ..., l^(t-1)) and reads its kernel: a_j is determined exactly
+    when every kernel vector is 0 at j, i.e. when the j-th unit vector
+    lies in the row space.
     """
     _check_predicate_args(len(track), t, j, field)
     p = field.p
     rows = [[pow(l, v, p) for v in range(t)] for l in track]
-    unit = [0] * t
-    unit[j] = 1
-    return linalg.in_rowspan(rows, unit, p)
+    _, kernel = linalg.solve_affine(rows, [0] * len(rows), p, t)
+    return not any(v[j] for v in kernel)
 
 
 def check_extension(track: Track, ext: Track, t: int, field: PrimeField) -> None:

@@ -1,105 +1,19 @@
-"""Gaussian elimination over F_p on plain integer matrices.
+"""Gaussian elimination over F_p, one equation at a time.
 
-Shared kernel for the rank oracle, share-system solving, and the audit's
-solution spaces.  Matrices are lists of rows of canonical residues;
-nothing here mutates its inputs.
+The one elimination kernel of the package: `extend_echelon` folds an
+equation into an echelon and says whether it is new, implied or
+contradictory, and `solve_affine` is its back substitution.  The rank
+oracle, share-system solving and the audit's solution spaces all go
+through it.  Matrices are lists of rows of integers; nothing here
+mutates its inputs.
 """
 
 from __future__ import annotations
 
+from operator import mul
+
 # (pivot column, row) pairs, as built by extend_echelon
 Echelon = list[tuple[int, list[int]]]
-
-
-def row_echelon(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form mod p; returns (matrix, pivot columns)."""
-    m = [[x % p for x in row] for row in rows]
-    ncols = len(m[0]) if m else 0
-    pivots: list[int] = []
-    lead = 0
-    for col in range(ncols):
-        piv = next((i for i in range(lead, len(m)) if m[i][col]), None)
-        if piv is None:
-            continue
-        m[lead], m[piv] = m[piv], m[lead]
-        inv = pow(m[lead][col], -1, p)
-        m[lead] = [x * inv % p for x in m[lead]]
-        base = m[lead]
-        for i in range(len(m)):
-            if i != lead and m[i][col]:
-                f = m[i][col]
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], base)]
-        pivots.append(col)
-        lead += 1
-    return m, pivots
-
-
-def in_rowspan(rows: list[list[int]], vec: list[int], p: int) -> bool:
-    """True when vec lies in the span of the given rows."""
-    m, pivots = row_echelon(rows, p)
-    v = [x % p for x in vec]
-    for i, col in enumerate(pivots):
-        if v[col]:
-            f = v[col]
-            v = [(a - f * b) % p for a, b in zip(v, m[i])]
-    return not any(v)
-
-
-def solve_square(rows: list[list[int]], rhs: list[int], p: int) -> list[int] | None:
-    """Solve a square system by forward elimination and back substitution.
-
-    Returns None when the matrix is singular.
-    """
-    n = len(rows)
-    m = [list(row) + [b % p] for row, b in zip(rows, rhs)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col] % p), None)
-        if piv is None:
-            return None
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-        base = m[col]
-        inv = pow(base[col], -1, p)
-        for i in range(col + 1, n):
-            if m[i][col] % p:
-                f = m[i][col] * inv % p
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], base)]
-    out = [0] * n
-    for i in range(n - 1, -1, -1):
-        acc = m[i][n] - sum(m[i][k] * out[k] for k in range(i + 1, n))
-        out[i] = acc * pow(m[i][i], -1, p) % p
-    return out
-
-
-def solve_affine(
-    rows: list[list[int]], rhs: list[int], p: int, ncols: int
-) -> tuple[list[int], list[list[int]]] | None:
-    """Solve rows @ x = rhs over F_p.
-
-    Returns (particular solution, kernel basis), or None when the system
-    is inconsistent.  With no constraints the solution space is all of
-    F_p^ncols.
-    """
-    if not rows:
-        basis = [[1 if i == k else 0 for i in range(ncols)] for k in range(ncols)]
-        return [0] * ncols, basis
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    m, pivots = row_echelon(aug, p)
-    if ncols in pivots:
-        return None
-    pivot_row = {col: i for i, col in enumerate(pivots)}
-    free_cols = [c for c in range(ncols) if c not in pivot_row]
-    particular = [0] * ncols
-    for col, i in pivot_row.items():
-        particular[col] = m[i][ncols]
-    basis = []
-    for f in free_cols:
-        vec = [0] * ncols
-        vec[f] = 1
-        for col, i in pivot_row.items():
-            vec[col] = -m[i][f] % p
-        basis.append(vec)
-    return particular, basis
 
 
 def reduce_row(echelon: Echelon, row: list[int], p: int) -> list[int]:
@@ -127,8 +41,47 @@ def extend_echelon(echelon: Echelon, row: list[int], p: int) -> Echelon | None:
     contradicts the equations already there.
     """
     v = reduce_row(echelon, row, p)
-    col = next((c for c in range(len(v) - 1) if v[c]), None)
-    if col is None:
+    for col in range(len(v) - 1):
+        if v[col]:
+            break
+    else:
         return None if v[-1] else echelon
     inv = pow(v[col], -1, p)
     return echelon + [(col, [x * inv % p for x in v])]
+
+
+def solve_affine(
+    rows: list[list[int]], rhs: list[int], p: int, ncols: int
+) -> tuple[list[int], list[list[int]]] | None:
+    """Solve rows @ x = rhs over F_p.
+
+    Returns (particular solution, kernel basis), or None when the system
+    is inconsistent.  The particular solution is 0 at every free column,
+    and the basis holds one vector per free column, in ascending order,
+    1 there and 0 at the other free columns.  With no constraints the
+    solution space is all of F_p^ncols.
+
+    The rows are folded into an echelon and read back last-first: each
+    echelon row is 0 left of its pivot and at the pivots of the rows
+    before it, so every entry it multiplies is already solved.
+    """
+    echelon: Echelon = []
+    for row, b in zip(rows, rhs):
+        echelon = extend_echelon(echelon, [*row, b], p)
+        if echelon is None:
+            return None
+    # map(mul, row, x) stops before the right-hand side, and
+    # x[col] is still 0 when its own row is read
+    particular = [0] * ncols
+    for col, row in reversed(echelon):
+        particular[col] = (row[-1] - sum(map(mul, row, particular))) % p
+    pivots = {col for col, _ in echelon}
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            vec = [0] * ncols
+            vec[f] = 1
+            for col, row in reversed(echelon):
+                vec[col] = -sum(map(mul, row, vec)) % p
+            basis.append(vec)
+    return particular, basis

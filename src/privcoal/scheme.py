@@ -21,6 +21,7 @@ from . import linalg
 from .coalition import (
     check_extension,
     contains_privileged,
+    extension_condition,
     privileged_rank_oracle,
     privileged_tracks,
     valid_lengths,
@@ -170,7 +171,6 @@ def derive_access_structure(cfg: SchemeConfig) -> AccessStructure:
             priv = privileged_tracks(ids, r, t, j, field)
             for sub in priv:
                 if not contains_privileged(sub, shorter):
-                    assert privileged_rank_oracle(sub, t, j, field)
                     sets.append(AuthorizedSet(members=sub, kind="privileged"))
             shorter = set(priv)
         for sub in itertools.combinations(ids, t):
@@ -245,11 +245,9 @@ def recover_privileged(
     else:
         ext = tuple(extension)
         check_extension(track, ext, t, field)
+    assert extension_condition(track, ext, t, j, field), "missing-share terms must vanish"
     p = field.p
     b = t - 1 - j
-    for m in range(len(ext)):
-        dropped = track + ext[:m] + ext[m + 1 :]
-        assert elem_sym(dropped, b, field) == 0, "missing-share coefficient must vanish"
     total = 0
     for k in range(r):
         seq = track[:k] + track[k + 1 :] + ext
@@ -263,12 +261,14 @@ def recover_privileged(
 def recover(shares: SharePairs | Mapping[int, int], j: int, cfg: SchemeConfig) -> int:
     """Recover secret s_j from any authorized subset of shares.
 
-    With at least t shares the t lexicographically smallest identities
-    are solved directly, and every further share must lie on the solved
-    polynomial (ParameterError otherwise).  With fewer, the subset itself
-    must be a privileged coalition for index j, which recover_privileged
-    checks (privilege is monotone, so if any subtrack qualifies the whole
-    subset does).
+    With at least t shares, the t x t Vandermonde system of the t
+    lexicographically smallest identities is solved with
+    linalg.solve_affine; distinct identities leave no kernel, so its
+    particular solution is the coefficient vector, and every further
+    share must lie on that polynomial (ParameterError otherwise).  With
+    fewer, the subset itself must be a privileged coalition for index j,
+    which recover_privileged checks (privilege is monotone, so if any
+    subtrack qualifies the whole subset does).
     """
     pairs = _normalize_pairs(shares)
     known = set(cfg.identities)
@@ -287,8 +287,7 @@ def recover(shares: SharePairs | Mapping[int, int], j: int, cfg: SchemeConfig) -
         for v in range(1, t):
             row[v] = row[v - 1] * i % p
         rows.append(row)
-    coeffs = linalg.solve_square(rows, [y % p for _, y in pairs[:t]], p)
-    assert coeffs is not None, "distinct identities give a nonsingular system"
+    coeffs, _ = linalg.solve_affine(rows, [y for _, y in pairs[:t]], p, t)
     for i, y in pairs[t:]:
         if poly_eval(coeffs, i, field) != y % p:
             raise ParameterError(

@@ -247,3 +247,15 @@ def audit_brute(t, p, ids, coefficients, domain):
                         if not ok:
                             violations.append(cell)
     return cells, violations, notes
+
+
+def affine_solutions(rows, rhs, p, ncols):
+    """Every x in F_p^ncols with rows @ x = rhs, trying each in turn."""
+    return {
+        x
+        for x in itertools.product(range(p), repeat=ncols)
+        if all(
+            (sum(a * v for a, v in zip(row, x)) - b) % p == 0
+            for row, b in zip(rows, rhs)
+        )
+    }

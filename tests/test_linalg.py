@@ -1,0 +1,136 @@
+"""The elimination kernel against a brute force over every vector of F_p^n."""
+
+import itertools
+import random
+
+import pytest
+
+from privcoal import linalg
+
+from oracles import affine_solutions
+
+PRIMES = (2, 3, 5, 7)
+
+
+def linear_systems(p, ncols, rng, per_shape=30):
+    """(rows, rhs) with 0-5 rows over F_p^ncols.
+
+    Half the systems take their right-hand sides from a chosen point, so
+    they are consistent unless a dependent row says otherwise.  A row is
+    dependent with probability 0.4: a combination of the earlier rows,
+    with the combined right-hand side (implied) or, in every third
+    system, a shifted one (contradictory).  Entries are written with a
+    random multiple of p added, as callers need not reduce them.
+    """
+    for nrows in range(6):
+        for case in range(per_shape):
+            point = [rng.randrange(p) for _ in range(ncols)]
+            rows, rhs = [], []
+            for k in range(nrows):
+                if k and rng.random() < 0.4:
+                    coefs = [rng.randrange(p) for _ in range(k)]
+                    row = [sum(c * r[i] for c, r in zip(coefs, rows)) for i in range(ncols)]
+                    b = sum(c * y for c, y in zip(coefs, rhs))
+                    if case % 3 == 1:
+                        b += rng.randrange(1, p)
+                else:
+                    row = [rng.randrange(p) for _ in range(ncols)]
+                    if case % 2:
+                        b = rng.randrange(p)
+                    else:
+                        b = sum(a * v for a, v in zip(row, point))
+                rows.append([a % p + p * rng.randrange(-1, 2) for a in row])
+                rhs.append(b % p + p * rng.randrange(-1, 2))
+            yield rows, rhs
+
+
+def free_columns(solutions, ncols):
+    """Columns c with a kernel vector whose last nonzero entry is at c:
+    column c of the matrix lies in the span of the columns before it."""
+    x0 = next(iter(solutions))
+    free = set()
+    for x in solutions:
+        diff = [a - b for a, b in zip(x, x0)]
+        nonzero = [c for c in range(ncols) if diff[c]]
+        if nonzero:
+            free.add(nonzero[-1])
+    return sorted(free)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_solve_affine_matches_brute_force(p):
+    rng = random.Random(p)
+    seen = {"inconsistent": 0, "unique": 0, "kernel": 0}
+    for ncols in range(1, 5):
+        for rows, rhs in linear_systems(p, ncols, rng):
+            expected = affine_solutions(rows, rhs, p, ncols)
+            solved = linalg.solve_affine(rows, rhs, p, ncols)
+            case = (p, ncols, rows, rhs)
+            if not expected:
+                assert solved is None, case
+                seen["inconsistent"] += 1
+                continue
+            assert solved is not None, case
+            particular, basis = solved
+            got = {
+                tuple(
+                    (x + sum(c * v[i] for c, v in zip(coefs, basis))) % p
+                    for i, x in enumerate(particular)
+                )
+                for coefs in itertools.product(range(p), repeat=len(basis))
+            }
+            assert got == expected, case
+            assert len(got) == p ** len(basis), case
+            # the normal form: 0 at every free column for the particular
+            # solution, one basis vector per free column in ascending order
+            free = free_columns(expected, ncols)
+            assert len(free) == len(basis), case
+            assert all(particular[f] == 0 for f in free), case
+            for f, vec in zip(free, basis):
+                assert [vec[g] for g in free] == [int(g == f) for g in free], case
+            seen["kernel" if basis else "unique"] += 1
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_extend_echelon_classifies_each_new_equation(p):
+    """On a consistent system, a new equation keeps every solution
+    (implied: the same echelon back), keeps none (contradictory: None)
+    or cuts the set (independent: one row more)."""
+    rng = random.Random(100 + p)
+    seen = {"implied": 0, "contradictory": 0, "independent": 0}
+    for ncols in range(1, 5):
+        for rows, rhs in linear_systems(p, ncols, rng):
+            solutions = affine_solutions(rows, rhs, p, ncols)
+            if not solutions:
+                continue
+            echelon = []
+            for row, b in zip(rows, rhs):
+                echelon = linalg.extend_echelon(echelon, [*row, b], p)
+                assert echelon is not None
+            coefs = [rng.randrange(p) for _ in rows]
+            combined = [sum(c * r[i] for c, r in zip(coefs, rows)) for i in range(ncols)]
+            combined_b = sum(c * y for c, y in zip(coefs, rhs))
+            candidates = [
+                [*combined, combined_b],
+                [*combined, combined_b + rng.randrange(1, p)],
+                [rng.randrange(p) for _ in range(ncols + 1)],
+            ]
+            for aug in candidates:
+                kept = {
+                    x for x in solutions
+                    if (sum(a * v for a, v in zip(aug, x)) - aug[-1]) % p == 0
+                }
+                grown = linalg.extend_echelon(echelon, aug, p)
+                case = (p, rows, rhs, aug)
+                if kept == solutions:
+                    assert grown is echelon, case
+                    seen["implied"] += 1
+                elif not kept:
+                    assert grown is None, case
+                    seen["contradictory"] += 1
+                else:
+                    assert grown is not None and grown[:-1] == echelon, case
+                    assert len(grown) == len(echelon) + 1, case
+                    seen["independent"] += 1
+    assert all(seen.values()), seen

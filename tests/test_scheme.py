@@ -15,6 +15,7 @@ from privcoal import (
     deal,
     derive_access_structure,
     extension_track,
+    privileged_rank_oracle,
     recover,
     recover_privileged,
     valid_lengths,
@@ -232,6 +233,25 @@ def test_access_structure_matches_definitional_construction(t):
                 for j in range(t - 1)
             ]
             assert got == _access_structure_by_definition(cfg), (t, p, cfg.identities)
+
+
+def test_privileged_sets_at_t7_p13_determine_their_coefficient():
+    """Every minimal privileged set of the t = 7, p = 13, ids 1..12
+    structure (the recover-repeat benchmark's) passes both rank oracles."""
+    field = PrimeField(13)
+    structure = derive_access_structure(
+        SchemeConfig(t=7, field=field, identities=range(1, 13))
+    )
+    privileged = [
+        (a.members, j)
+        for j in range(1, 6)
+        for a in structure.minimal_sets(j)
+        if a.kind == "privileged"
+    ]
+    assert len(privileged) > 100
+    for members, j in privileged:
+        assert privileged_rank_oracle(members, 7, j, field), (members, j)
+        assert determines_coefficient(members, 7, j, 13), (members, j)
 
 
 def test_recover_dispatch():

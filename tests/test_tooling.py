@@ -28,3 +28,36 @@ def test_every_exported_name_resolves():
     missing = [name for name in privcoal.__all__ if not hasattr(privcoal, name)]
     assert not missing
     assert len(set(privcoal.__all__)) == len(privcoal.__all__)
+
+
+
+def _names_used(tree):
+    """Every name a syntax tree loads, bare or as an attribute."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def test_every_top_level_definition_is_exported_or_used():
+    """A function or class the package neither exports nor calls is dead:
+    each must be in privcoal.__all__ or named somewhere in the package
+    outside its own definition."""
+    statements = [
+        (path.name, node)
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+    ]
+    uses = [(node, _names_used(node)) for _, node in statements]
+    definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    dead = [
+        f"{module}:{node.name}"
+        for module, node in statements
+        if isinstance(node, definitions)
+        and node.name not in privcoal.__all__
+        and not any(node.name in names for other, names in uses if other is not node)
+    ]
+    assert not dead
