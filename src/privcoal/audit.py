@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from . import linalg
 from .errors import CapacityError, ParameterError
 from .scheme import SchemeConfig, SecretVector, deal
-from .symfun import Track
+from .symfun import Track, power_rows
 
 FULL_FIELD = "full-field"  # secrets range over F_p, blinding nonzero
 ALL_NONZERO = "all-nonzero"  # every coefficient nonzero
@@ -237,7 +237,7 @@ def perfectness_report(
     for size in range(0, t + 1):
         for subset in itertools.combinations(cfg.identities, size):
             pairs = table.subset(subset)
-            rows = [[pow(i, v, p) for v in range(t)] for i, _ in pairs]
+            rows = power_rows(subset, t, field)
             solution = linalg.solve_affine(rows, [y for _, y in pairs], p, t)
             space = solution and _ConsistentSpace(*solution, dealt, restricted, p)
             if space is None or not space.count():

@@ -32,7 +32,6 @@ from .scheme import (
     SecretVector,
     deal,
     derive_access_structure,
-    extension_track,
     recover,
 )
 
@@ -276,9 +275,12 @@ def _load_shares(path: str) -> tuple[SchemeConfig, dict[int, int]]:
     try:
         p = int(doc["p"])
         t = int(doc["t"])
-        pairs = {int(e["id"]): int(e["share"]) for e in doc["participants"]}
+        entries = [(int(e["id"]), int(e["share"])) for e in doc["participants"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParameterError(f"malformed shares file {path}: {exc}") from exc
+    pairs = dict(entries)
+    if len(pairs) != len(entries):
+        raise ParameterError("duplicate identity among the supplied shares")
     cfg = SchemeConfig(t=t, field=PrimeField(p), identities=tuple(pairs))
     return cfg, pairs
 
@@ -292,15 +294,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     pairs = [(i, shares[i]) for i in subset]
     value = recover(pairs, args.j, cfg)
     if args.explain:
-        if len(pairs) >= cfg.t:
-            used = [i for i, _ in pairs[: cfg.t]]
-            print(f"route: full solve with identities {used}", file=sys.stderr)
-        else:
-            ext = extension_track(tuple(subset), cfg.t, cfg.field)
-            print(
-                f"route: coalition formula with extension track {list(ext)}",
-                file=sys.stderr,
-            )
+        print(f"route: full solve with identities {subset[: cfg.t]}", file=sys.stderr)
     print(value)
     return EXIT_OK
 

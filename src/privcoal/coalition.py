@@ -31,7 +31,7 @@ from typing import Iterable, Iterator
 from . import linalg
 from .errors import ParameterError
 from .field import PrimeField
-from .symfun import Track, as_track, elem_sym_all
+from .symfun import Track, as_track, elem_sym_all, power_rows
 
 
 def valid_lengths(t: int, j: int) -> list[int]:
@@ -71,15 +71,13 @@ def is_privileged(track: Track, t: int, j: int, field: PrimeField) -> bool:
 def privileged_rank_oracle(track: Track, t: int, j: int, field: PrimeField) -> bool:
     """Independent check: is a_j determined by the coalition's r shares?
 
-    Solves the homogeneous system of the r x t power matrix with rows
-    (1, l, ..., l^(t-1)) and reads its kernel: a_j is determined exactly
-    when every kernel vector is 0 at j, i.e. when the j-th unit vector
-    lies in the row space.
+    Solves the homogeneous system of the r x t power matrix and reads
+    its kernel: a_j is determined exactly when every kernel vector is 0
+    at j, i.e. when the j-th unit vector lies in the row space.
     """
     _check_predicate_args(len(track), t, j, field)
-    p = field.p
-    rows = [[pow(l, v, p) for v in range(t)] for l in track]
-    _, kernel = linalg.solve_affine(rows, [0] * len(rows), p, t)
+    rows = power_rows(track, t, field)
+    _, kernel = linalg.solve_affine(rows, [0] * len(rows), field.p, t)
     return not any(v[j] for v in kernel)
 
 

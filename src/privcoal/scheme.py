@@ -3,11 +3,11 @@
 The dealer hides t-1 secrets s_0..s_{t-2} as the low coefficients of a
 degree-(t-1) polynomial whose top coefficient is a nonzero blinding
 value, and hands participant i the evaluation at its public identity.
-Any t participants recover the whole coefficient vector by solving the
-Vandermonde system, and any further shares must lie on the polynomial
-it gives; a privileged coalition of r < t participants recovers its
-coefficient through a cofactor expansion in which the terms needing the
-missing t-r shares provably vanish.
+Any t participants recover the whole coefficient vector, and a
+privileged coalition of r < t its own coefficient: `recover` reads both
+off the kernel of one solve.  The paper's cofactor expansion, whose
+terms needing the missing t-r shares provably vanish, is kept as
+`recover_privileged`; `recover` does not call it.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .coalition import (
 )
 from .errors import AuthorizationError, ParameterError
 from .field import PrimeField
-from .symfun import Track, as_track, elem_sym, poly_eval, vandermonde_det
+from .symfun import Track, as_track, elem_sym, poly_eval, power_rows, vandermonde_det
 
 SharePairs = Sequence[tuple[int, int]]
 
@@ -220,7 +220,7 @@ def recover_privileged(
     field: PrimeField,
     extension: Track | None = None,
 ) -> int:
-    """Recover a_j from a privileged coalition of r < t shares.
+    """Recover a_j from r < t privileged shares by the paper's cofactor formula.
 
     Extends the coalition by a disjoint track u (the smallest free
     residues unless one is supplied), then evaluates the cofactor
@@ -228,7 +228,7 @@ def recover_privileged(
     The cofactors of the rows belonging to u carry a factor
     tau_{t-1-j}(coalition + u-minus-one), which vanishes for a privileged
     coalition, so only the coalition's own shares enter the sum.  The
-    result is identical for every admissible u.
+    result is identical for every admissible u.  `recover` never calls this.
     """
     pairs = _normalize_pairs(shares)
     track = as_track([i for i, _ in pairs], field)
@@ -261,14 +261,11 @@ def recover_privileged(
 def recover(shares: SharePairs | Mapping[int, int], j: int, cfg: SchemeConfig) -> int:
     """Recover secret s_j from any authorized subset of shares.
 
-    With at least t shares, the t x t Vandermonde system of the t
-    lexicographically smallest identities is solved with
-    linalg.solve_affine; distinct identities leave no kernel, so its
-    particular solution is the coefficient vector, and every further
-    share must lie on that polynomial (ParameterError otherwise).  With
-    fewer, the subset itself must be a privileged coalition for index j,
-    which recover_privileged checks (privilege is monotone, so if any
-    subtrack qualifies the whole subset does).
+    One route for every subset size: linalg.solve_affine on the power
+    rows of the first min(t, n) identities, which are independent.  a_j
+    is determined exactly when every kernel vector is 0 at j
+    (AuthorizationError otherwise); shares past the t-th must lie on the
+    polynomial the first t give (ParameterError otherwise).
     """
     pairs = _normalize_pairs(shares)
     known = set(cfg.identities)
@@ -278,16 +275,14 @@ def recover(shares: SharePairs | Mapping[int, int], j: int, cfg: SchemeConfig) -
     t, field = cfg.t, cfg.field
     if not 0 <= j <= t - 1:
         raise ParameterError(f"coefficient index {j} outside [0, {t - 1}]")
-    if len(pairs) < t:
-        return recover_privileged(pairs, t, j, field)
+    if not pairs:
+        raise ParameterError("a track must contain at least one identity")
     p = field.p
-    rows = []
-    for i, _ in pairs[:t]:
-        row = [1] * t
-        for v in range(1, t):
-            row[v] = row[v - 1] * i % p
-        rows.append(row)
-    coeffs, _ = linalg.solve_affine(rows, [y for _, y in pairs[:t]], p, t)
+    ids = tuple(i for i, _ in pairs)
+    rows = power_rows(ids[:t], t, field)
+    coeffs, kernel = linalg.solve_affine(rows, [y for _, y in pairs[:t]], p, t)
+    if any(v[j] for v in kernel):
+        raise AuthorizationError(f"subset {ids} is not authorized for secret index {j}")
     for i, y in pairs[t:]:
         if poly_eval(coeffs, i, field) != y % p:
             raise ParameterError(

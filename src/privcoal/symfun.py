@@ -3,8 +3,8 @@
 A *track* is the canonical identity sequence used everywhere in the
 package: strictly increasing, pairwise distinct, nonzero residues.  The
 symmetric-function ladder tau_0..tau_r of a track drives the privileged
-coalition predicates, and the Vandermonde determinants drive the
-coalition recovery formula.
+coalition predicates, the power rows every linear system over the shares,
+and the Vandermonde determinants the paper's coalition recovery formula.
 """
 
 from __future__ import annotations
@@ -65,6 +65,18 @@ def poly_eval(coeffs: Sequence[int], x: int, field: PrimeField) -> int:
     for c in reversed(coeffs):
         acc = (acc * x + c) % p
     return acc
+
+
+def power_rows(values: Iterable[int], t: int, field: PrimeField) -> list[list[int]]:
+    """The power matrix: one row (1, v, ..., v^(t-1)) mod p per value."""
+    p = field.p
+    rows = []
+    for v in values:
+        row = [1] * t
+        for k in range(1, t):
+            row[k] = row[k - 1] * v % p
+        rows.append(row)
+    return rows
 
 
 def vandermonde_det(values: Sequence[int], field: PrimeField) -> int:

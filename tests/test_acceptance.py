@@ -307,7 +307,7 @@ def test_criterion_6_round_trip_exhaustive_small():
     cfg = SchemeConfig(t=5, field=field, identities=range(1, 7))
     structure = derive_access_structure(cfg)
     sets = [(j, a.members) for j in range(4) for a in structure.minimal_sets(j)]
-    assert any(len(members) < 5 for _, members in sets)  # coalition-formula path
+    assert any(len(members) < 5 for _, members in sets)  # coalitions below t shares
     checked = 0
     start = time.perf_counter()
     for secrets in itertools.product(range(7), repeat=4):

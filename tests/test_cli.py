@@ -178,12 +178,26 @@ def test_deal_recover_cycle(tmp_path, capsys):
         capsys, "recover", "--shares", str(shares), "--subset", "1,2,4", "--j", "2",
         "--explain",
     )
-    assert "extension track [3, 5]" in err and out.strip() == "3"
+    assert "route: full solve with identities [1, 2, 4]" in err and out.strip() == "3"
     code, out, _ = run(capsys, "recover", "--shares", str(shares), "--subset", "1..6", "--j", "0")
     assert code == 0 and out.strip() == "1"
     code, _, err = run(capsys, "recover", "--shares", str(shares), "--subset", "1,2", "--j", "2")
     assert code == 3
     assert "not authorized" in err
+
+
+def test_recover_refuses_a_shares_file_listing_an_identity_twice(tmp_path, capsys):
+    shares = tmp_path / "shares.json"
+    values = [1, 3, 1, 4, 1, 3]  # s = (1, 2, 3, 4), blinding 5, p = 7
+    participants = [{"id": i, "share": y} for i, y in enumerate(values, start=1)]
+    participants.append({"id": 3, "share": 2})
+    shares.write_text(json.dumps({"p": 7, "t": 5, "participants": participants}))
+    for subset in ("1,2,4", "1..6"):  # without the repeated identity, then with it
+        code, out, err = run(
+            capsys, "recover", "--shares", str(shares), "--subset", subset, "--j", "2"
+        )
+        assert code == 2 and out == ""
+        assert err == "parameter error: duplicate identity among the supplied shares\n"
 
 
 def test_recover_refuses_tampered_shares(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Dealing, access structures, and both recovery routes."""
+"""Dealing, access structures, and recovery: `recover`'s one route, and
+the paper's cofactor formula `recover_privileged` checked against it."""
 
 import itertools
 import random
@@ -252,6 +253,44 @@ def test_privileged_sets_at_t7_p13_determine_their_coefficient():
     for members, j in privileged:
         assert privileged_rank_oracle(members, 7, j, field), (members, j)
         assert determines_coefficient(members, 7, j, 13), (members, j)
+
+
+@pytest.mark.parametrize("t, p, n", [(5, 7, 6), (7, 13, 12)])
+def test_cofactor_formula_agrees_with_recover(t, p, n):
+    """On every minimal privileged set, recover_privileged, recover and
+    the dealt secret agree; on every (t-1)-subset that does not determine
+    a_j, both routes refuse with the same message."""
+    field = PrimeField(p)
+    cfg = SchemeConfig(t=t, field=field, identities=range(1, n + 1))
+    structure = derive_access_structure(cfg)
+    privileged = [
+        (a.members, j)
+        for j in range(1, t - 1)
+        for a in structure.minimal_sets(j)
+        if a.kind == "privileged"
+    ]
+    assert privileged
+    for seed in range(20):
+        sv = SecretVector.random(field, t, seed)
+        table = deal(cfg, sv)
+        for members, j in privileged:
+            pairs = table.subset(members)
+            assert recover_privileged(pairs, t, j, field) == sv.coefficients[j], (members, j)
+            assert recover(pairs, j, cfg) == sv.coefficients[j], (members, j)
+    table = deal(cfg, SecretVector.random(field, t, 0))
+    refused = 0
+    for members in itertools.combinations(range(1, n + 1), t - 1):
+        for j in range(1, t - 1):
+            if determines_coefficient(members, t, j, p):
+                continue
+            pairs = table.subset(members)
+            with pytest.raises(AuthorizationError) as formula:
+                recover_privileged(pairs, t, j, field)
+            with pytest.raises(AuthorizationError) as kernel:
+                recover(pairs, j, cfg)
+            assert str(formula.value) == str(kernel.value)
+            refused += 1
+    assert refused
 
 
 def test_recover_dispatch():
