@@ -40,7 +40,6 @@ from .scheme import (
 from .symfun import (
     Track,
     as_track,
-    elem_sym,
     elem_sym_all,
     poly_eval,
     vandermonde_det,
@@ -65,7 +64,6 @@ __all__ = [
     "as_track",
     "deal",
     "derive_access_structure",
-    "elem_sym",
     "elem_sym_all",
     "extension_condition",
     "extension_track",

@@ -46,7 +46,6 @@ def _manifest(
     subcommand: str,
     params: dict,
     seed: int | None = None,
-    input_path: str | None = None,
     output_path: str | None = None,
 ) -> dict:
     out = {
@@ -54,7 +53,7 @@ def _manifest(
         "version": __version__,
         "subcommand": subcommand,
         "parameters": params,
-        "input": input_path,
+        "input": None,
         "output": output_path,
     }
     if seed is not None:
@@ -266,6 +265,13 @@ def _cmd_deal(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _json_int(value: object) -> int:
+    """A JSON integer; bool, float and string values are refused."""
+    if type(value) is not int:
+        raise ValueError(f"{value!r} is not an integer")
+    return value
+
+
 def _load_shares(path: str) -> tuple[SchemeConfig, dict[int, int]]:
     with open(path) as handle:
         try:
@@ -273,9 +279,9 @@ def _load_shares(path: str) -> tuple[SchemeConfig, dict[int, int]]:
         except ValueError as exc:
             raise ParameterError(f"shares file {path} is not JSON: {exc}") from exc
     try:
-        p = int(doc["p"])
-        t = int(doc["t"])
-        entries = [(int(e["id"]), int(e["share"])) for e in doc["participants"]]
+        p = _json_int(doc["p"])
+        t = _json_int(doc["t"])
+        entries = [(_json_int(e["id"]), _json_int(e["share"])) for e in doc["participants"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParameterError(f"malformed shares file {path}: {exc}") from exc
     pairs = dict(entries)
@@ -406,9 +412,6 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except ZeroDivisionError as exc:
-        print(f"parameter error: {exc}", file=sys.stderr)
-        return EXIT_PARAMETER
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER

@@ -5,7 +5,8 @@ already determine coefficient a_j of the degree-(t-1) scheme polynomial.
 Two independent characterizations are implemented:
 
 * the symmetric-function window test: tau_w(track) = 0 for every
-  w in {r-j, ..., t-1-j}, and
+  w in {r-j, ..., t-1-j}, run by the enumeration walk (also for one
+  track: `is_privileged`), and
 * a rank oracle: every vector in the kernel of the coalition's power
   matrix is 0 at j, i.e. the j-th unit vector lies in its row space.
 
@@ -55,17 +56,12 @@ def _check_predicate_args(r: int, t: int, j: int, field: PrimeField) -> None:
 def is_privileged(track: Track, t: int, j: int, field: PrimeField) -> bool:
     """Window test: every tau_w for w in {r-j, ..., t-1-j} vanishes mod p.
 
-    False immediately for j = 0 (the window would contain tau_r, a product
-    of nonzero identities), for j = t-1 (it would contain tau_0 = 1), and
-    for j outside [t-r, r-1] (the window escapes [1, r] with the same
-    effect).
+    Decided by the enumeration walk over the track's own identities, which
+    lists the track exactly when it passes.  False for j outside [t-r, r-1],
+    j = 0 and j = t-1 included (the window then holds tau_r, a product of
+    nonzero identities, or tau_0 = 1).
     """
-    _check_predicate_args(len(track), t, j, field)
-    r = len(track)
-    if j < t - r or j > r - 1:
-        return False
-    taus = elem_sym_all(track, field)
-    return all(taus[w] == 0 for w in range(r - j, t - j))
+    return bool(privileged_tracks(track, len(track), t, j, field))
 
 
 def privileged_rank_oracle(track: Track, t: int, j: int, field: PrimeField) -> bool:

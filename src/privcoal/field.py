@@ -1,9 +1,9 @@
 """Prime fields F_p.
 
-`PrimeField` carries a modulus that is checked to be prime, and the
-multiplicative inverse.  The rest of the package works on plain integer
-residues in [0, p) with Python's `%` and three-argument `pow`.  Everything
-is immutable and pure, so values can be shared freely between workers.
+`PrimeField` carries a modulus that is checked to be prime.  The package
+works on plain integer residues in [0, p) with Python's `%` and `pow`,
+inverting with `pow(x, -1, p)`.  Everything is immutable and pure, so
+values can be shared freely between workers.
 """
 
 from __future__ import annotations
@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 from .errors import ParameterError
 
-# Witness set making Miller-Rabin deterministic for all n < 3.3 * 10**24,
-# far beyond the 64-bit moduli this package targets.
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The primes up to 41 make Miller-Rabin deterministic for all n below
+# psi_13 (about 3.3 * 10**24), far beyond the 64-bit moduli this package targets.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
@@ -49,13 +49,6 @@ class PrimeField:
     def __post_init__(self) -> None:
         if not is_prime(self.p):
             raise ParameterError(f"modulus {self.p} is not prime")
-
-    def inv(self, a: int) -> int:
-        """Multiplicative inverse of a nonzero residue."""
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        return pow(a, self.p - 2, self.p)
 
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"

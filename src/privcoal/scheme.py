@@ -19,16 +19,14 @@ from typing import Iterable, Mapping, Sequence
 
 from . import linalg
 from .coalition import (
-    check_extension,
     contains_privileged,
     extension_condition,
-    privileged_rank_oracle,
     privileged_tracks,
     valid_lengths,
 )
 from .errors import AuthorizationError, ParameterError
 from .field import PrimeField
-from .symfun import Track, as_track, elem_sym, poly_eval, power_rows, vandermonde_det
+from .symfun import Track, as_track, elem_sym_all, poly_eval, power_rows, vandermonde_det
 
 SharePairs = Sequence[tuple[int, int]]
 
@@ -53,10 +51,6 @@ class SchemeConfig:
             raise ParameterError(
                 f"{len(self.identities)} participants cannot support threshold {self.t}"
             )
-
-    @property
-    def n(self) -> int:
-        return len(self.identities)
 
 
 @dataclass(frozen=True)
@@ -236,26 +230,21 @@ def recover_privileged(
     r = len(track)
     if r >= t:
         raise ParameterError(f"coalition recovery needs fewer than t = {t} shares")
-    if not privileged_rank_oracle(track, t, j, field):
+    ext = extension_track(track, t, field) if extension is None else tuple(extension)
+    if not extension_condition(track, ext, t, j, field):
         raise AuthorizationError(
             f"subset {track} is not authorized for secret index {j}"
         )
-    if extension is None:
-        ext = extension_track(track, t, field)
-    else:
-        ext = tuple(extension)
-        check_extension(track, ext, t, field)
-    assert extension_condition(track, ext, t, j, field), "missing-share terms must vanish"
     p = field.p
     b = t - 1 - j
     total = 0
     for k in range(r):
         seq = track[:k] + track[k + 1 :] + ext
-        minor = vandermonde_det(seq, field) * elem_sym(seq, b, field) % p
+        minor = vandermonde_det(seq, field) * elem_sym_all(seq, field)[b] % p
         if (k + j) % 2:
             minor = -minor
         total = (total + minor * ys[k]) % p
-    return total * field.inv(vandermonde_det(track + ext, field)) % p
+    return total * pow(vandermonde_det(track + ext, field), -1, p) % p
 
 
 def recover(shares: SharePairs | Mapping[int, int], j: int, cfg: SchemeConfig) -> int:

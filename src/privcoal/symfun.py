@@ -2,9 +2,10 @@
 
 A *track* is the canonical identity sequence used everywhere in the
 package: strictly increasing, pairwise distinct, nonzero residues.  The
-symmetric-function ladder tau_0..tau_r of a track drives the privileged
-coalition predicates, the power rows every linear system over the shares,
-and the Vandermonde determinants the paper's coalition recovery formula.
+symmetric-function ladder tau_0..tau_r of a track (`elem_sym_all`, read
+by index) drives the extension condition and the paper's coalition
+recovery formula, the power rows every linear system over the shares,
+and the Vandermonde determinants that formula's cofactors.
 """
 
 from __future__ import annotations
@@ -47,15 +48,6 @@ def elem_sym_all(values: Sequence[int], field: PrimeField) -> tuple[int, ...]:
             + [v * taus[-1] % p]
         )
     return tuple(taus)
-
-
-def elem_sym(values: Sequence[int], w: int, field: PrimeField) -> int:
-    """tau_w of the given values; 1 at w=0 and 0 outside [0, len(values)]."""
-    if w == 0:
-        return 1
-    if w < 0 or w > len(values):
-        return 0
-    return elem_sym_all(values, field)[w]
 
 
 def poly_eval(coeffs: Sequence[int], x: int, field: PrimeField) -> int:

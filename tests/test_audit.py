@@ -63,6 +63,8 @@ def test_capacity_guard():
     big = SchemeConfig(t=7, field=PrimeField(101), identities=range(1, 9))
     with pytest.raises(CapacityError, match="10+"):
         perfectness_report(big)
+    with pytest.raises(ParameterError, match="unknown coefficient domain"):
+        perfectness_report(CFG, domain="rationals")
 
 
 def test_conditional_distribution_matches_oracle():

@@ -134,6 +134,11 @@ def test_malformed_identity_range_is_a_parameter_error(capsys):
     )
     assert code == 2 and out == ""
     assert "'x' in '1..x' is not an integer" in err
+    code, out, err = run(
+        capsys, "access-structure", "--t", "5", "--p", "7", "--identities", ","
+    )
+    assert code == 2 and out == ""
+    assert "no identities in ','" in err
 
 
 def test_malformed_prime_list_is_a_parameter_error(capsys):
@@ -150,14 +155,34 @@ def test_shares_file_that_is_not_json_is_a_parameter_error(tmp_path, capsys):
     assert "is not JSON" in err
 
 
+MALFORMED_SHARE_FIELDS = [
+    ("share", 2, '"three"'),
+    ("share", 2, "true"),
+    ("share", 2, "2.5"),
+    ("share", 2, "1e999"),
+    ("share", 2, "Infinity"),
+    ("id", 0, "1.5"),
+    ("id", 0, '"1"'),
+    ("p", None, "7.9"),
+    ("p", None, "NaN"),
+    ("t", None, "3.2"),
+    ("t", None, "false"),
+]
+
+
 def test_non_integer_share_is_a_parameter_error(tmp_path, capsys):
+    # only JSON integers are read: no truncation, no overflow traceback
     shares = tmp_path / "shares.json"
-    participants = [{"id": i, "share": 1} for i in range(1, 7)]
-    participants[2]["share"] = "three"
-    shares.write_text(json.dumps({"p": 7, "t": 5, "participants": participants}))
-    code, out, err = run(capsys, "recover", "--shares", str(shares), "--subset", "1,2,4", "--j", "2")
-    assert code == 2 and out == ""
-    assert "malformed shares file" in err
+    for key, where, value in MALFORMED_SHARE_FIELDS:
+        participants = [{"id": i, "share": 1} for i in range(1, 7)]
+        doc = {"p": 7, "t": 5, "participants": participants}
+        (doc if where is None else participants[where])[key] = "@"
+        shares.write_text(json.dumps(doc).replace('"@"', value))
+        code, out, err = run(
+            capsys, "recover", "--shares", str(shares), "--subset", "1,2,4", "--j", "2"
+        )
+        assert code == 2 and out == "", (key, value)
+        assert "malformed shares file" in err, (key, value)
 
 
 def test_deal_recover_cycle(tmp_path, capsys):
@@ -184,6 +209,9 @@ def test_deal_recover_cycle(tmp_path, capsys):
     code, _, err = run(capsys, "recover", "--shares", str(shares), "--subset", "1,2", "--j", "2")
     assert code == 3
     assert "not authorized" in err
+    code, out, err = run(capsys, "recover", "--shares", str(shares), "--subset", "1,2,9", "--j", "2")
+    assert code == 2 and out == ""
+    assert "identities [9] not present in the shares file" in err
 
 
 def test_recover_refuses_a_shares_file_listing_an_identity_twice(tmp_path, capsys):
@@ -244,6 +272,12 @@ def test_deal_validation(capsys):
         "--secrets", "1,2,3,4", "--blinding", "5", "--seed", "1",
     )
     assert code == 2
+    code, out, err = run(
+        capsys, "deal", "--t", "5", "--p", "7", "--identities", "1..6",
+        "--secrets", "1,2,3,4",
+    )
+    assert code == 2 and out == ""
+    assert "explicit dealing needs --secrets and --blinding" in err
 
 
 def test_audit_exit_codes(tmp_path, capsys):

@@ -96,6 +96,10 @@ def test_extension_condition():
         extension_condition((1, 2, 4), (4, 5), 5, 2, F7)  # overlap
     with pytest.raises(ParameterError):
         extension_condition((1, 2, 4), (3,), 5, 2, F7)  # wrong length
+    with pytest.raises(ParameterError, match="outside"):
+        extension_condition((1, 2, 4), (3, 7), 5, 2, F7)  # 7 is the zero residue
+    with pytest.raises(ParameterError, match="pairwise distinct"):
+        extension_condition((1, 2, 4), (3, 3), 5, 2, F7)
 
 
 def test_privileged_coalitions_goldens():
@@ -127,6 +131,13 @@ def test_query_constraint_violations_are_named():
         CoalitionQuery(t=11, j=2, field=F7, n_max=6, r=6)
     with pytest.raises(ParameterError, match="t >= 3"):
         CoalitionQuery(t=2, j=1, field=F7, n_max=6)
+    with pytest.raises(ParameterError, match="N >= 1"):
+        CoalitionQuery(t=5, j=2, field=F7, n_max=0)
+    for j in (0, 4):
+        with pytest.raises(ParameterError, match="1 <= j <= t - 2"):
+            CoalitionQuery(t=5, j=j, field=F7, n_max=6)
+    with pytest.raises(ParameterError, match=r"r <= min\(N, p - 1\)"):
+        CoalitionQuery(t=5, j=2, field=F7, n_max=2, r=3)
 
 
 def test_identity_bound_clamps_to_field():

@@ -1,4 +1,4 @@
-"""Prime fields: primality, the modulus check, inverses."""
+"""Prime fields: primality and the modulus check."""
 
 import pytest
 
@@ -6,6 +6,7 @@ from privcoal import ParameterError, PrimeField, is_prime
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
                 61, 67, 71, 73, 79, 83, 89, 97, 101]
+PSI_12 = 399165290221 * 798330580441  # 318665857834031151167461
 
 
 def test_is_prime_on_knowns():
@@ -16,6 +17,11 @@ def test_is_prime_on_knowns():
     # larger primes the count tables rely on
     for p in [809, 5231, 22787, 31601, 199999, 499253, 725597, 2**31 - 1]:
         assert is_prime(p)
+    # composites with no factor up to the largest witness reach Miller-Rabin
+    assert not is_prime(2021)  # 43 * 47
+    assert not is_prime(2**32 + 1)  # 641 * 6700417
+    # psi_12 is a strong pseudoprime to every prime base up to 37
+    assert not is_prime(PSI_12)
 
 
 def test_nonprime_modulus_rejected():
@@ -23,30 +29,6 @@ def test_nonprime_modulus_rejected():
         PrimeField(6)
     with pytest.raises(ParameterError):
         PrimeField(1)
-
-
-def test_inverse_examples():
-    assert PrimeField(7).inv(3) == 5
-    assert PrimeField(101).inv(1) == 1
-    # derived by exhaustive scan
-    f13 = PrimeField(13)
-    scan = [b for b in range(13) if 5 * b % 13 == 1]
-    assert scan == [8]
-    assert f13.inv(5) == 8
-
-
-def test_inverse_of_zero():
-    with pytest.raises(ZeroDivisionError):
-        PrimeField(7).inv(0)
-    with pytest.raises(ZeroDivisionError):
-        PrimeField(7).inv(14)  # reduced before the check
-
-
-def test_inverse_and_fermat_exhaustive_small_primes():
-    for p in SMALL_PRIMES:
-        f = PrimeField(p)
-        for a in range(1, p):
-            assert f.inv(a) * a % p == 1
-            assert f.inv(a + p) == f.inv(a - p) == f.inv(a)
-            assert pow(a, p - 1, p) == 1
+    with pytest.raises(ParameterError):
+        PrimeField(PSI_12)
 

@@ -44,6 +44,8 @@ def test_config_validation():
         SchemeConfig(t=5, field=F7, identities=(1, 1, 2, 3, 4))  # duplicate
     with pytest.raises(ParameterError):
         SchemeConfig(t=8, field=F7, identities=range(1, 7))  # t > p
+    with pytest.raises(ParameterError, match="must be at least 2"):
+        SchemeConfig(t=1, field=F7, identities=range(1, 7))
 
 
 def test_secret_vector_validation():
@@ -101,6 +103,9 @@ def test_access_structure_six_participants():
         for j in (1, 2, 3)
         for a in structure.minimal_sets(j)
     )  # this instance has no unextended tracks
+    for j in (-1, 4):
+        with pytest.raises(ParameterError, match="secret index"):
+            structure.minimal_sets(j)
 
 
 def test_access_structure_threshold_three():
@@ -304,6 +309,10 @@ def test_recover_dispatch():
         recover(table.subset([1, 2, 4]), 1, CFG)  # privileged for j=2 only
     with pytest.raises(ParameterError):
         recover([(9, 0)], 2, CFG)  # not a participant
+    with pytest.raises(ParameterError, match="duplicate identity"):
+        recover([(1, 1), (2, 3), (1, 2)], 2, CFG)
+    with pytest.raises(ParameterError, match="at least one identity"):
+        recover([], 2, CFG)
 
 
 def test_share_table_lookups():

@@ -10,7 +10,6 @@ from privcoal import (
     ParameterError,
     PrimeField,
     as_track,
-    elem_sym,
     elem_sym_all,
     poly_eval,
     vandermonde_det,
@@ -35,14 +34,12 @@ def test_as_track_canonicalizes():
 def test_elem_sym_known_values():
     f7 = PrimeField(7)
     # (1,2,4): integer tau_2 = 14, divisible by 7
-    assert elem_sym((1, 2, 4), 2, f7) == 0
-    assert elem_sym((1, 2, 4), 0, f7) == 1
-    assert elem_sym((3, 5, 6), 17, f7) == 0  # above the length
-    assert elem_sym((3, 5, 6), -1, f7) == 0
+    assert elem_sym_all((1, 2, 4), f7)[2] == 0
+    assert elem_sym_all((1, 2, 4), f7)[0] == 1
     # (1,5,8,12): integer tau_3 = 676 = 52 * 13
     f13 = PrimeField(13)
     assert elem_sym_subsets((1, 5, 8, 12), 3) == 676
-    assert elem_sym((1, 5, 8, 12), 3, f13) == 0
+    assert elem_sym_all((1, 5, 8, 12), f13)[3] == 0
 
 
 def test_elem_sym_all_examples():

@@ -61,3 +61,30 @@ def test_every_top_level_definition_is_exported_or_used():
         and not any(node.name in names for other, names in uses if other is not node)
     ]
     assert not dead
+
+
+def test_every_method_and_property_is_used():
+    """A non-dunder method or property of a package class is dead unless
+    it is named as an attribute somewhere in the package outside its own
+    definition."""
+    trees = [
+        (path.name, ast.parse(path.read_text(), filename=str(path)))
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+    ]
+
+    def attributes(tree):
+        return [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+
+    everywhere = [name for _, tree in trees for name in attributes(tree)]
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    dead = [
+        f"{module}:{cls.name}.{node.name}"
+        for module, tree in trees
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, functions)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and everywhere.count(node.name) == attributes(node).count(node.name)
+    ]
+    assert not dead
