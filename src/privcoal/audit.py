@@ -239,9 +239,12 @@ def perfectness_report(
             pairs = table.subset(subset)
             rows = power_rows(subset, t, field)
             solution = linalg.solve_affine(rows, [y for _, y in pairs], p, t)
-            space = solution and _ConsistentSpace(*solution, dealt, restricted, p)
-            if space is None or not space.count():
-                notes.append(f"subset {subset}: no consistent polynomial (tampered shares?)")
+            space = _ConsistentSpace(*solution, dealt, restricted, p)  # honest shares solve
+            if not space.count():
+                notes.append(
+                    f"subset {subset}: no vector of the {domain} domain matches these "
+                    "shares (the dealt vector lies outside the domain)"
+                )
                 violations.append(
                     AuditCell(subset=subset, j=-1, known=(), authorized=False, verdict=LEAKY)
                 )

@@ -15,10 +15,10 @@ tau_0 = 1 and tau_w = 0 for w > r encodes exactly the row-space
 condition); the test suite verifies the equivalence exhaustively.
 
 Enumeration does not test every r-subset: `privileged_tracks` walks the
-(r-3)-prefixes with ladders cut at the top of the window, streams over
-the pairs of later identities below each, and solves the first window
-equation for the last identity; where that equation loses the last
-identity, so do all the others, and the prefix must be privileged.
+(r-2)-prefixes with one ladder rule at every depth, streams over the
+later identities below each, and solves the first window equation for
+the last identity; where that equation loses the last identity, so do
+all the others, and the prefix must be privileged.
 Privilege is monotone under supersets, so minimal coalitions and
 unextended t-subsets are decided by containment of the privileged
 coalitions one length shorter (`contains_privileged`).
@@ -130,24 +130,27 @@ def privileged_tracks(
 
     The window equations tau_w = 0 for w in {lo, ..., b}, lo = r-j and
     b = t-1-j, read no tau above b, so every ladder stops at tau_b.  The
-    depth-first walk extends the ladders of the (r-3)-prefixes P one
-    identity per level and stops there.  For each later identity z it
-    keeps only tau_{lo-2}..tau_b of the head P + {z}, and one
-    comprehension streams over every pair z < y below the heads.  With
-    Q = head + {y}, tau_w(Q + {x}) = tau_w(Q) + x * tau_{w-1}(Q) is linear
-    in x, so the first window equation fixes x = -tau_lo(Q) / tau_{lo-1}(Q).
-    x counts when it is an identity after y, and only those hits check
-    the remaining window equations.  When the denominator tau_{lo-1}(Q)
+    walk pops prefixes off an explicit stack, children pushed in reverse
+    so the output stays lexicographic.  A prefix of depth d holds
+    tau_{d-j}..tau_b; the empty prefix holds j zeros, tau_0 = 1, b zeros.
+    Adding identity v applies one rule at every depth,
+    tau_w(P + {v}) = tau_w(P) + v * tau_{w-1}(P), and drops the lowest
+    rung, so each (r-2)-prefix head holds exactly tau_{lo-2}..tau_b (for
+    r = 2 the empty prefix is the head).  One comprehension streams over
+    every identity y after each head.  With Q = head + {y},
+    tau_w(Q + {x}) = tau_w(Q) + x * tau_{w-1}(Q) is linear in x, so the
+    first window equation fixes x = -tau_lo(Q) / tau_{lo-1}(Q).  x counts
+    when it is an identity after y, and only those hits check the
+    remaining window equations.  When the denominator tau_{lo-1}(Q)
     vanishes, x drops out of every equation (`dropped`): Q + {x} is then
     privileged for every later x exactly when Q is, and those tracks come
-    out in place, so the result needs no sort.  Length r = 2 (t = 3) has
-    no z: its one head is the empty prefix.  That is O(1) work per
-    (r-1)-prefix and no full ladder below the (r-3)-prefixes.
+    out in place, so the result needs no sort.  That is O(1) work per
+    (r-1)-prefix, and no call stack grows with r.
     """
     ids = as_track(ids, field)
     _check_predicate_args(r, t, j, field)
     n = len(ids)
-    if j < t - r or j > r - 1 or r > n:
+    if r not in valid_lengths(t, j) or r > n:
         return []
     p = field.p
     lo, b = r - j, t - 1 - j
@@ -164,27 +167,22 @@ def privileged_tracks(
             return ()
         return ids[ids.index(y) + 1 :]
 
-    def heads(
-        prefix: Track, taus: list[int], start: int
-    ) -> Iterator[tuple[Track, int, list[int]]]:
-        # taus[w + 2] = tau_w(prefix) for w = -2..b; yields each (r-2)-prefix
-        # head, the index of the identity after it and its tau_{lo-2}..tau_b
-        depth = len(prefix) + 1
-        if depth == r - 2:
-            pairs = list(zip(taus[lo:], taus[lo - 1 :]))
-            for k in range(start, n - 2):
-                z = ids[k]
-                yield prefix + (z,), k + 1, [(a + z * c) % p for a, c in pairs]
-            return
-        pairs = list(zip(taus[2:], taus[1:]))
-        for k in range(start, n - r + depth):
-            v = ids[k]
-            yield from heads(prefix + (v,), [0, 0] + [(a + v * c) % p for a, c in pairs], k + 1)
+    def heads() -> Iterator[tuple[Track, int, list[int]]]:
+        # yields each (r-2)-prefix head, the index after it and its ladder
+        stack = [((), [0] * j + [1] + [0] * b, 0)]
+        while stack:
+            prefix, taus, start = stack.pop()
+            if len(prefix) == r - 2:
+                yield prefix, start, taus
+                continue
+            pairs = list(zip(taus[1:], taus))
+            for k in reversed(range(start, n - r + len(prefix) + 1)):
+                v = ids[k]
+                stack.append((prefix + (v,), [(a + v * c) % p for a, c in pairs], k + 1))
 
-    empty = [0, 0, 1] + [0] * b
     return [
         head + (y, x)
-        for head, k, m in (heads((), empty, 0) if r > 2 else [((), 0, empty[lo:])])
+        for head, k, m in heads()
         for y in ids[k : n - 1]
         for d in ((m[1] + y * m[0]) % p,)
         for x in ((-(m[2] + y * m[1]) * pow(d, -1, p) % p,) if d else dropped(y, m))

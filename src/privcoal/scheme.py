@@ -142,23 +142,18 @@ class AccessStructure:
 def derive_access_structure(cfg: SchemeConfig) -> AccessStructure:
     """Minimal authorized sets for every secret index.
 
-    For j = 0 these are exactly the t-subsets of participants.  For
-    1 <= j <= t-2 they are the minimal privileged coalitions among the
-    participants plus any unextended t-subsets (t-subsets containing no
+    For each j they are the minimal privileged coalitions among the
+    participants plus the unextended t-subsets (t-subsets containing no
     privileged coalition, which are therefore minimally authorized).
     Both are decided by containment: a coalition is minimal, and a
     t-subset unextended, when it contains none of the privileged
-    coalitions one element shorter that the walk has found.
+    coalitions one element shorter that the walk has found.  j = 0 is
+    the index with no privileged coalition (no length is valid for it),
+    so its sets are all the t-subsets, tagged "threshold".
     """
     t, field, ids = cfg.t, cfg.field, cfg.identities
     per_index: list[tuple[AuthorizedSet, ...]] = []
-    per_index.append(
-        tuple(
-            AuthorizedSet(members=sub, kind="threshold")
-            for sub in itertools.combinations(ids, t)
-        )
-    )
-    for j in range(1, t - 1):
+    for j in range(t - 1):
         sets: list[AuthorizedSet] = []
         shorter: set[Track] = set()
         for r in valid_lengths(t, j):
@@ -167,9 +162,10 @@ def derive_access_structure(cfg: SchemeConfig) -> AccessStructure:
                 if not contains_privileged(sub, shorter):
                     sets.append(AuthorizedSet(members=sub, kind="privileged"))
             shorter = set(priv)
+        kind = "unextended" if j else "threshold"
         for sub in itertools.combinations(ids, t):
             if not contains_privileged(sub, shorter):
-                sets.append(AuthorizedSet(members=sub, kind="unextended"))
+                sets.append(AuthorizedSet(members=sub, kind=kind))
         per_index.append(tuple(sets))
     return AccessStructure(config=cfg, per_index=tuple(per_index))
 

@@ -215,7 +215,10 @@ def audit_brute(t, p, ids, coefficients, domain):
         for subset in itertools.combinations(ids, size):
             consistent = [vec for vec, hits in zip(space, agree) if hits.issuperset(subset)]
             if not consistent:
-                notes.append(f"subset {subset}: no consistent polynomial (tampered shares?)")
+                notes.append(
+                    f"subset {subset}: no vector of the {domain} domain matches these "
+                    "shares (the dealt vector lies outside the domain)"
+                )
                 violations.append((subset, -1, (), False, "leaky", None))
                 continue
             for j in range(t - 1):

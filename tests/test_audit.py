@@ -188,7 +188,10 @@ def test_zero_secret_leaves_no_consistent_polynomial():
     assert empty == set(itertools.combinations(cfg.identities, 3))
     for subset in empty:
         assert consistent_vectors(deal(cfg, sv).subset(subset), 3, 7, ALL_NONZERO) == []
-        assert f"subset {subset}: no consistent polynomial (tampered shares?)" in report.notes
+        assert (
+            f"subset {subset}: no vector of the {ALL_NONZERO} domain matches these "
+            "shares (the dealt vector lies outside the domain)"
+        ) in report.notes
     # knowing s_0 = 0 leaves no admissible vector: the coalitions
     # authorized for s_1 get an empty histogram
     assert [(c.subset, c.histogram) for c in report.violations if c.j != -1] == [

@@ -391,6 +391,25 @@ def test_output_files_written_atomically(tmp_path, capsys):
     assert not leftovers
 
 
+def test_output_naming_a_directory_is_an_io_error(tmp_path, capsys):
+    code, out, err = run(
+        capsys, "enumerate", "--t", "5", "--j", "2", "--r", "3", "--p", "7",
+        "--N", "6", "--output", str(tmp_path),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("i/o error:")
+    assert not [f for f in tmp_path.iterdir() if f.name.startswith(".privcoal-")]
+
+
+def test_missing_shares_file_is_an_io_error(tmp_path, capsys):
+    missing = tmp_path / "absent.json"
+    code, out, err = run(
+        capsys, "recover", "--shares", str(missing), "--subset", "1,2", "--j", "0"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("i/o error:")
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

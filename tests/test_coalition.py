@@ -1,7 +1,9 @@
 """Coalition predicates and enumeration."""
 
+import inspect
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -274,6 +276,16 @@ def test_report_determinism_and_dict():
 WALK_PRIMES = [7, 11, 13, 31, 10007, 2**61 - 1]
 
 
+def _taus(values, top, p):
+    """tau_0..tau_top of the values mod p: the coefficients of
+    prod (1 + v X) over the values, truncated above X^top."""
+    out = [1] + [0] * top
+    for v in values:
+        for w in range(top, 0, -1):
+            out[w] = (out[w] + v * out[w - 1]) % p
+    return out
+
+
 def _planted_coalition(rng, t, j, p):
     """A (t-1)-track privileged for (t, j): a random prefix completed by
     solving tau_{t-1-j}(prefix + {x}) = 0 for x, so that sparse large
@@ -282,9 +294,10 @@ def _planted_coalition(rng, t, j, p):
     w = t - 1 - j
     for _ in range(50):
         prefix = rng.sample(range(1, p), t - 2)
-        den = elem_sym_subsets(prefix, w - 1) % p
+        taus = _taus(prefix, w, p)
+        den = taus[w - 1]
         if den:
-            x = -elem_sym_subsets(prefix, w) * pow(den, -1, p) % p
+            x = -taus[w] * pow(den, -1, p) % p
             if x and x not in prefix:
                 return prefix + [x]
     return rng.sample(range(1, p), t - 1)
@@ -314,6 +327,28 @@ def test_walk_matches_brute_force_lister(p):
             got = [a.members for a in structure.minimal_sets(j) if a.kind == "privileged"]
             assert got == minimal_privileged_brute(ids, t, j, p, valid_lengths(t, j))
     assert hits >= 12
+
+
+def test_walk_depth_leaves_the_call_stack_alone():
+    """A walk whose prefixes go r - 3 = 146 levels deep runs under a
+    recursion limit only 20 frames above the caller's: the walk keeps its
+    own stack, so coalitions of any length enumerate."""
+    rng = random.Random(149)
+    p, t, j = 2**61 - 1, 150, 75
+    r = t - 1
+    ids = _planted_coalition(rng, t, j, p) + [rng.randrange(1, p)]
+    want = [
+        track
+        for track in itertools.combinations(sorted(ids), r)
+        if not any(_taus(track, t - 1 - j, p)[r - j :])
+    ]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 20)
+    try:
+        got = privileged_tracks(ids, r, t, j, PrimeField(p))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert want and got == want
 
 
 def test_walk_preconditions():
@@ -355,9 +390,9 @@ def test_reports_match_brute_force_lister():
 def test_walk_matches_brute_force_over_whole_small_fields():
     """Every identity of F_p for small p, every t up to 7, every j and r.
 
-    This reaches length 2, the empty-prefix stage at length 3, windows of
-    several equations, and tracks whose first window equation loses the
-    last identity (a zero denominator at the pair stage).
+    This reaches length 2, whose head is the empty prefix, length 3,
+    windows of several equations, and tracks whose first window equation
+    loses the last identity (a zero denominator at the pair stage).
     """
     seen = dict.fromkeys(["r=2", "r=3", "several equations", "zero denominator"], 0)
     for p in (5, 7, 11, 13):

@@ -88,3 +88,23 @@ def test_every_method_and_property_is_used():
         and everywhere.count(node.name) == attributes(node).count(node.name)
     ]
     assert not dead
+
+
+def test_no_function_calls_itself():
+    """Recursion depth would grow with the input (a walk over r-prefixes
+    recursing r levels deep ends in RecursionError past Python's limit),
+    so no package function calls itself by its bare name."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    recursive = [
+        f"{path.name}:{node.name}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, functions)
+        and any(
+            isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name)
+            and call.func.id == node.name
+            for call in ast.walk(node)
+        )
+    ]
+    assert not recursive
