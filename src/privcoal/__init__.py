@@ -9,7 +9,6 @@ from .audit import (
     ALL_NONZERO,
     FULL_FIELD,
     AuditReport,
-    ideality_check,
     perfectness_report,
 )
 from .coalition import (
@@ -19,7 +18,6 @@ from .coalition import (
     is_privileged,
     minimal_privileged_coalitions,
     privileged_coalitions,
-    privileged_rank_oracle,
     privileged_tracks,
     valid_lengths,
 )
@@ -67,14 +65,12 @@ __all__ = [
     "elem_sym_all",
     "extension_condition",
     "extension_track",
-    "ideality_check",
     "is_prime",
     "is_privileged",
     "minimal_privileged_coalitions",
     "perfectness_report",
     "poly_eval",
     "privileged_coalitions",
-    "privileged_rank_oracle",
     "privileged_tracks",
     "recover",
     "recover_privileged",

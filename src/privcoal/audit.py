@@ -288,15 +288,3 @@ def perfectness_report(
         violations=tuple(violations),
         notes=tuple(notes),
     )
-
-
-def ideality_check(cfg: SchemeConfig, share_components: int = 1) -> bool:
-    """Shares and secrets live in domains of the same size.
-
-    Every secret is one residue mod p and every participant holds
-    share_components residues; the scheme is ideal exactly when a share
-    is a single residue.
-    """
-    if share_components < 1:
-        raise ParameterError("a share has at least one component")
-    return cfg.field.p**share_components == cfg.field.p

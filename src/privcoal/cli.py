@@ -151,10 +151,15 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     primes = _parse_int_list(args.p)
+    if not primes:
+        raise ParameterError(f"no primes in {args.p!r}")
+    fields = [PrimeField(p) for p in primes]
+    for field in fields:
+        # checks t and N against each prime before t sizes the default j range
+        CoalitionQuery(t=args.t, j=1, field=field, n_max=args.N)
     j_list = _parse_int_list(args.j) if args.j else list(range(1, args.t - 1))
     grid: dict[int, dict[int, dict]] = {}
-    for p in primes:
-        field = PrimeField(p)
+    for p, field in zip(primes, fields):
         grid[p] = {}
         for j in j_list:
             report = minimal_privileged_coalitions(

@@ -1,18 +1,14 @@
 """Enumeration and classification of privileged coalitions.
 
 A coalition of r < t participants is (t, j)-privileged when its shares
-already determine coefficient a_j of the degree-(t-1) scheme polynomial.
-Two independent characterizations are implemented:
-
-* the symmetric-function window test: tau_w(track) = 0 for every
-  w in {r-j, ..., t-1-j}, run by the enumeration walk (also for one
-  track: `is_privileged`), and
-* a rank oracle: every vector in the kernel of the coalition's power
-  matrix is 0 at j, i.e. the j-th unit vector lies in its row space.
-
-They agree on every input (the window test with the conventions
-tau_0 = 1 and tau_w = 0 for w > r encodes exactly the row-space
-condition); the test suite verifies the equivalence exhaustively.
+already determine coefficient a_j of the degree-(t-1) scheme polynomial,
+i.e. when the j-th unit vector lies in the row space of its power matrix.
+Privilege is decided by the symmetric-function window test:
+tau_w(track) = 0 for every w in {r-j, ..., t-1-j}, run by the enumeration
+walk (also for one track: `is_privileged`).  With the conventions
+tau_0 = 1 and tau_w = 0 for w > r it encodes exactly the row-space
+condition; the test suite checks the two against each other with a rank
+oracle written from scratch.
 
 Enumeration does not test every r-subset: `privileged_tracks` walks the
 (r-2)-prefixes with one ladder rule at every depth, streams over the
@@ -29,10 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from . import linalg
 from .errors import ParameterError
 from .field import PrimeField
-from .symfun import Track, as_track, elem_sym_all, power_rows
+from .symfun import Track, as_track, elem_sym_all
 
 
 def valid_lengths(t: int, j: int) -> list[int]:
@@ -62,19 +57,6 @@ def is_privileged(track: Track, t: int, j: int, field: PrimeField) -> bool:
     nonzero identities, or tau_0 = 1).
     """
     return bool(privileged_tracks(track, len(track), t, j, field))
-
-
-def privileged_rank_oracle(track: Track, t: int, j: int, field: PrimeField) -> bool:
-    """Independent check: is a_j determined by the coalition's r shares?
-
-    Solves the homogeneous system of the r x t power matrix and reads
-    its kernel: a_j is determined exactly when every kernel vector is 0
-    at j, i.e. when the j-th unit vector lies in the row space.
-    """
-    _check_predicate_args(len(track), t, j, field)
-    rows = power_rows(track, t, field)
-    _, kernel = linalg.solve_affine(rows, [0] * len(rows), field.p, t)
-    return not any(v[j] for v in kernel)
 
 
 def check_extension(track: Track, ext: Track, t: int, field: PrimeField) -> None:

@@ -13,8 +13,10 @@ from dataclasses import dataclass
 from .errors import ParameterError
 
 # The primes up to 41 make Miller-Rabin deterministic for all n below
-# psi_13 (about 3.3 * 10**24), far beyond the 64-bit moduli this package targets.
+# psi_13 (about 3.3 * 10**24), far beyond the 64-bit moduli this package
+# targets.  psi_13 itself is a strong pseudoprime to all of them.
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
@@ -47,6 +49,11 @@ class PrimeField:
     p: int
 
     def __post_init__(self) -> None:
+        if self.p >= _PSI_13:
+            raise ParameterError(
+                f"modulus {self.p} is at least psi_13 = {_PSI_13}; the "
+                "primality test is exact only below that bound"
+            )
         if not is_prime(self.p):
             raise ParameterError(f"modulus {self.p} is not prime")
 

@@ -2,10 +2,9 @@
 
 The one elimination kernel of the package: `extend_echelon` folds an
 equation into an echelon and says whether it is new, implied or
-contradictory, and `solve_affine` is its back substitution.  The rank
-oracle, share-system solving and the audit's solution spaces all go
-through it.  Matrices are lists of rows of integers; nothing here
-mutates its inputs.
+contradictory, and `solve_affine` is its back substitution.  Recovery
+from shares and the audit's solution spaces both go through it.
+Matrices are lists of rows of integers; nothing here mutates its inputs.
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ from privcoal import (
     SchemeConfig,
     SecretVector,
     deal,
-    ideality_check,
     perfectness_report,
 )
 
@@ -216,14 +215,6 @@ def test_report_seed_reproducibility():
     assert a.secret_vector == b.secret_vector
     assert a.passed == b.passed
     assert a.cells == b.cells
-
-
-def test_ideality():
-    assert ideality_check(CFG)
-    assert ideality_check(SchemeConfig(t=4, field=PrimeField(5), identities=range(1, 5)))
-    assert not ideality_check(CFG, share_components=2)
-    with pytest.raises(ParameterError):
-        ideality_check(CFG, share_components=0)
 
 
 def test_report_to_dict():

@@ -147,6 +147,30 @@ def test_malformed_prime_list_is_a_parameter_error(capsys):
     assert "'abc' in '13,abc' is not an integer" in err
 
 
+def test_modulus_beyond_the_primality_bound_is_a_parameter_error(capsys):
+    code, out, err = run(
+        capsys, "enumerate", "--t", "5", "--j", "2", "--p", "3317044064679887385961981",
+        "--N", "6",
+    )
+    assert code == 2 and out == ""
+    assert "parameter error:" in err and "exact only below" in err
+
+
+TABLE_REFUSALS = [
+    (["--t", "5", "--N", "6", "--p", ","], "no primes in ','"),
+    (["--t", "1000003", "--N", "4", "--p", ""], "no primes in ''"),
+    (["--t", "2305843009213693951", "--N", "0", "--p", "7"], "violates t <= p"),
+    (["--t", "1" + "0" * 29, "--N", "0", "--p", "7"], "violates t <= p"),
+]
+
+
+@pytest.mark.parametrize("args, message", TABLE_REFUSALS)
+def test_table_checks_primes_and_t_before_the_j_range(capsys, args, message):
+    code, out, err = run(capsys, "table", *args)
+    assert code == 2 and out == ""
+    assert err.startswith("parameter error:") and message in err
+
+
 def test_shares_file_that_is_not_json_is_a_parameter_error(tmp_path, capsys):
     shares = tmp_path / "shares.json"
     shares.write_text("{not json")

@@ -18,7 +18,6 @@ from privcoal import (
     is_privileged,
     minimal_privileged_coalitions,
     privileged_coalitions,
-    privileged_rank_oracle,
     privileged_tracks,
     valid_lengths,
 )
@@ -73,10 +72,10 @@ def test_is_privileged_preconditions():
 
 
 def test_rank_oracle_known_cases():
-    assert privileged_rank_oracle((1, 2, 4), 5, 2, F7)
-    assert not privileged_rank_oracle((1, 2, 3), 5, 2, F7)
+    assert determines_coefficient((1, 2, 4), 5, 2, 7)
+    assert not determines_coefficient((1, 2, 3), 5, 2, 7)
     # superset of a privileged coalition stays privileged
-    assert privileged_rank_oracle((1, 2, 4, 5), 5, 2, F7)
+    assert determines_coefficient((1, 2, 4, 5), 5, 2, 7)
     # the kernel of the power matrix of (1,2,4,5) is spanned by the
     # coefficients of (x-1)(x-2)(x-4)(x-5), whose x^2 coefficient is 0 mod 7
     poly = [1]
@@ -212,27 +211,24 @@ GRID_PRIMES = [7, 11, 13, 17]
 
 
 def test_window_test_agrees_with_rank_oracle_small_grid():
-    # the full grid lives in the acceptance suite; keep a fast slice here
-    for p in GRID_PRIMES:
+    # the full grid lives in the acceptance suite; keep a fast slice here,
+    # as (t, j, p, n, lengths), with t = 7 among the extra configurations
+    cases = [
+        (t, j, p, min(8, p - 1), range(2, t))
+        for p in GRID_PRIMES
+        for t in (4, 5)
+        for j in range(t)
+    ]
+    cases += [
+        (t, j, p, n, range(2, min(t, 6)))
+        for t, j, p, n in [(5, 2, 7, 6), (5, 1, 7, 6), (7, 3, 13, 12)]
+    ]
+    for t, j, p, n, lengths in cases:
         field = PrimeField(p)
-        n = min(8, p - 1)
-        for t in (4, 5):
-            if t > p:
-                continue
-            for r in range(2, t):
-                for j in range(t):
-                    for track in itertools.combinations(range(1, n + 1), r):
-                        assert is_privileged(track, t, j, field) == \
-                            privileged_rank_oracle(track, t, j, field)
-
-
-def test_rank_oracle_agrees_with_independent_elimination():
-    for t, j, p, n in [(5, 2, 7, 6), (5, 1, 7, 6), (7, 3, 13, 12)]:
-        field = PrimeField(p)
-        for r in range(2, min(t, 6)):
+        for r in lengths:
             for track in itertools.combinations(range(1, n + 1), r):
-                assert privileged_rank_oracle(track, t, j, field) == \
-                    determines_coefficient(track, t, j, p)
+                assert is_privileged(track, t, j, field) == \
+                    determines_coefficient(track, t, j, p), (track, t, j, p)
 
 
 @settings(max_examples=60, deadline=None)
@@ -258,7 +254,7 @@ def test_superset_closure(p, t, data):
     for extra in rest:
         bigger = tuple(sorted(track + (extra,)))
         if len(bigger) < t:
-            assert privileged_rank_oracle(bigger, t, j, field)
+            assert determines_coefficient(bigger, t, j, p)
 
 
 def test_report_determinism_and_dict():

@@ -7,6 +7,7 @@ from privcoal import ParameterError, PrimeField, is_prime
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
                 61, 67, 71, 73, 79, 83, 89, 97, 101]
 PSI_12 = 399165290221 * 798330580441  # 318665857834031151167461
+PSI_13 = 1287836182261 * 2575672364521  # 3317044064679887385961981
 
 
 def test_is_prime_on_knowns():
@@ -32,3 +33,11 @@ def test_nonprime_modulus_rejected():
     with pytest.raises(ParameterError):
         PrimeField(PSI_12)
 
+
+
+def test_modulus_at_or_above_psi_13_is_refused():
+    # psi_13 is a strong pseudoprime to every witness the test uses
+    assert is_prime(PSI_13)
+    for p in (PSI_13, PSI_13 + 2, 2**89 - 1):
+        with pytest.raises(ParameterError, match="exact only below"):
+            PrimeField(p)

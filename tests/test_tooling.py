@@ -7,6 +7,7 @@ import sys
 import privcoal
 
 PACKAGE_DIR = pathlib.Path(privcoal.__file__).parent
+ORACLES = pathlib.Path(__file__).parent / "oracles.py"
 
 
 def test_imports_are_relative_or_stdlib():
@@ -22,6 +23,15 @@ def test_imports_are_relative_or_stdlib():
                 continue
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+
+
+def test_oracles_import_nothing_from_the_package():
+    """The brute forces the library is checked against share no code with it."""
+    nodes = list(ast.walk(ast.parse(ORACLES.read_text(), filename=str(ORACLES))))
+    modules = [a.name for n in nodes if isinstance(n, ast.Import) for a in n.names]
+    modules += [n.module or "" for n in nodes if isinstance(n, ast.ImportFrom)]
+    assert modules
+    assert not [name for name in modules if name.split(".")[0] == "privcoal"]
 
 
 def test_every_exported_name_resolves():
