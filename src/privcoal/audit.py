@@ -31,15 +31,13 @@ import itertools
 from dataclasses import dataclass
 
 from . import linalg
-from .errors import CapacityError, ParameterError
+from .errors import ENUMERATION_GUARD, CapacityError, ParameterError
 from .scheme import SchemeConfig, SecretVector, deal
 from .symfun import Track, power_rows
 
 FULL_FIELD = "full-field"  # secrets range over F_p, blinding nonzero
 ALL_NONZERO = "all-nonzero"  # every coefficient nonzero
 DOMAINS = (FULL_FIELD, ALL_NONZERO)
-
-ENUMERATION_GUARD = 10**8  # p**t above this is not desk-scale
 
 
 def _check_capacity(cfg: SchemeConfig) -> None:

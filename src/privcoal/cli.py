@@ -6,7 +6,8 @@ parameters) so results are reproducible from the output alone; output
 files are written atomically (temp file + rename).
 
 Exit codes: 0 success, 2 parameter error, 3 authorization error,
-4 capacity error.
+4 capacity error (an audit, enumeration walk or table grid beyond the
+enumeration guard).
 """
 
 from __future__ import annotations
@@ -19,13 +20,8 @@ import tempfile
 
 from . import __version__
 from .audit import DOMAINS, FULL_FIELD, perfectness_report
-from .coalition import (
-    CoalitionQuery,
-    minimal_privileged_coalitions,
-    privileged_coalitions,
-    valid_lengths,
-)
-from .errors import AuthorizationError, CapacityError, ParameterError
+from .coalition import CoalitionQuery, minimal_privileged_coalitions, privileged_coalitions
+from .errors import ENUMERATION_GUARD, AuthorizationError, CapacityError, ParameterError
 from .field import PrimeField
 from .scheme import (
     SchemeConfig,
@@ -157,6 +153,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
     for field in fields:
         # checks t and N against each prime before t sizes the default j range
         CoalitionQuery(t=args.t, j=1, field=field, n_max=args.N)
+    if not args.j and args.t - 2 > ENUMERATION_GUARD:
+        raise CapacityError(
+            f"t - 2 = {args.t - 2} exceeds the {ENUMERATION_GUARD} enumeration guard"
+        )
     j_list = _parse_int_list(args.j) if args.j else list(range(1, args.t - 1))
     grid: dict[int, dict[int, dict]] = {}
     for p, field in zip(primes, fields):
@@ -187,8 +187,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
         _emit(json.dumps(doc, indent=2), args.output)
         return EXIT_OK
     if args.per_length:
-        lengths: dict[int, list[int]] = {
-            j: [r for r in valid_lengths(args.t, j) if r <= args.N]
+        # t <= p for every prime, so a cell's lengths do not depend on its prime
+        lengths = {
+            j: CoalitionQuery(t=args.t, j=j, field=fields[0], n_max=args.N).lengths
             for j in j_list
         }
         header = ["p"] + [f"j={j}:r={r}" for j in j_list for r in lengths[j]]

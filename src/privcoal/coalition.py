@@ -15,17 +15,19 @@ Enumeration does not test every r-subset: `privileged_tracks` walks the
 later identities below each, and solves the first window equation for
 the last identity; where that equation loses the last identity, so do
 all the others, and the prefix must be privileged.
-Privilege is monotone under supersets, so minimal coalitions and
-unextended t-subsets are decided by containment of the privileged
-coalitions one length shorter (`contains_privileged`).
+Privilege is monotone under supersets, so one sweep over successive
+lengths (`minimal_tracks`) keeps the tracks that contain no privileged
+track one element shorter: it yields the minimal coalitions and, given
+the t-subsets as its last layer, the unextended ones.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import ParameterError
+from .errors import ENUMERATION_GUARD, CapacityError, ParameterError
 from .field import PrimeField
 from .symfun import Track, as_track, elem_sym_all
 
@@ -174,16 +176,21 @@ def privileged_tracks(
     ]
 
 
-def contains_privileged(track: Track, shorter: set[Track]) -> bool:
-    """Does the track contain one of the privileged tracks in `shorter`?
+def minimal_tracks(layers: Iterable[Iterable[Track]]) -> Iterator[list[Track]]:
+    """For each layer, the tracks that contain no track of the layer before.
 
-    `shorter` holds every privileged track one element shorter than
-    `track` over the same identities.  Privilege is monotone under
-    supersets, so a track containing any shorter privileged track also
-    contains one of length exactly len(track) - 1: dropping one element
-    at a time covers them all.
+    Layers hold tracks of successive lengths over the same identities, each
+    privileged layer complete.  Privilege is monotone under supersets, so a
+    track containing a shorter privileged track contains one of length
+    len(track) - 1, and dropping one element at a time finds it.  A one-pass
+    last layer (the t-subsets) is streamed, never collected into `shorter`.
     """
-    return any(track[:k] + track[k + 1 :] in shorter for k in range(len(track)))
+    shorter: set[Track] = set()
+    for layer in layers:
+        yield [
+            c for c in layer if not any(c[:k] + c[k + 1 :] in shorter for k in range(len(c)))
+        ]
+        shorter = set(layer)
 
 
 @dataclass(frozen=True)
@@ -238,10 +245,10 @@ class CoalitionQuery:
         return min(self.n_max, self.field.p - 1)
 
     @property
-    def lengths(self) -> list[int]:
+    def lengths(self) -> range:
         if self.r is not None:
-            return [self.r]
-        return [r for r in valid_lengths(self.t, self.j) if r <= self.effective_n_max]
+            return range(self.r, self.r + 1)
+        return range(max(self.t - self.j, self.j + 1), min(self.t, self.effective_n_max + 1))
 
 
 @dataclass(frozen=True)
@@ -251,8 +258,6 @@ class CoalitionReport:
     query: CoalitionQuery
     minimal_only: bool
     coalitions: tuple[Track, ...]
-    r_min: int | None = None
-    n_min: int | None = None
 
     @property
     def count(self) -> int:
@@ -263,6 +268,14 @@ class CoalitionReport:
         for c in self.coalitions:
             out[len(c)] = out.get(len(c), 0) + 1
         return out
+
+    @property
+    def r_min(self) -> int | None:
+        return len(self.coalitions[0]) if self.query.r is None and self.coalitions else None
+
+    @property
+    def n_min(self) -> int | None:
+        return self.per_length().get(self.r_min)
 
     def to_dict(self) -> dict:
         return {
@@ -282,36 +295,31 @@ class CoalitionReport:
         }
 
 
+def _check_walk(n: int, lengths: range) -> None:
+    """Refuse a walk over more (r-1)-prefixes of n identities than the guard."""
+    total = 0
+    for r in lengths:
+        c = 1
+        for i in range(min(r - 1, n - r + 1)):  # C(n, r-1), left once past the guard
+            c = c * (n - i) // (i + 1)
+            if total + c > ENUMERATION_GUARD:
+                raise CapacityError(
+                    f"the sum of C({n}, r - 1) over r = {lengths[0]}..{lengths[-1]} "
+                    f"exceeds the {ENUMERATION_GUARD} enumeration guard"
+                )
+        total += c
+
+
 def _enumerate_report(query: CoalitionQuery, minimal: bool) -> CoalitionReport:
-    t, j, field = query.t, query.j, query.field
+    t, j, field, lengths = query.t, query.j, query.field, query.lengths
+    _check_walk(query.effective_n_max, lengths)
     ids = tuple(range(1, query.effective_n_max + 1))
-    found: list[Track] = []
-    r_min: int | None = None
-    n_min: int | None = None
-    # privileged tracks one length shorter, for the minimality check; a
-    # fixed length walks its predecessor first (empty below the valid range)
-    shorter: set[Track] = set()
-    if minimal and query.r is not None:
-        shorter = set(privileged_tracks(ids, query.r - 1, t, j, field))
-    for r in query.lengths:
-        priv = privileged_tracks(ids, r, t, j, field)
-        if priv and r_min is None:
-            r_min = r
-            n_min = len(priv)
-        if minimal:
-            found.extend(c for c in priv if not contains_privileged(c, shorter))
-            shorter = set(priv)
-        else:
-            found.extend(priv)
-    if query.r is not None:
-        r_min = n_min = None
-    return CoalitionReport(
-        query=query,
-        minimal_only=minimal,
-        coalitions=tuple(found),
-        r_min=r_min,
-        n_min=n_min,
-    )
+    # a minimal sweep walks the length before the first only to filter it
+    walked = range(lengths.start - minimal, lengths.stop)
+    layers = (privileged_tracks(ids, r, t, j, field) for r in walked)
+    if minimal:
+        layers = itertools.islice(minimal_tracks(layers), 1, None)
+    return CoalitionReport(query, minimal, tuple(itertools.chain.from_iterable(layers)))
 
 
 def privileged_coalitions(query: CoalitionQuery) -> CoalitionReport:
@@ -320,16 +328,17 @@ def privileged_coalitions(query: CoalitionQuery) -> CoalitionReport:
     With r fixed the report lists that single length; with r = None it
     sweeps every valid length (ordered by length, then lexicographically)
     and reports the shortest populated length r_min together with the
-    number of privileged coalitions found there (N_min).
+    number of privileged coalitions found there (N_min).  A walk over more
+    than ENUMERATION_GUARD (r-1)-prefixes raises CapacityError.
     """
     return _enumerate_report(query, minimal=False)
 
 
 def minimal_privileged_coalitions(query: CoalitionQuery) -> CoalitionReport:
-    """Like privileged_coalitions, restricted to minimal coalitions.
-
-    At the shortest populated length every privileged coalition is
-    automatically minimal, so r_min and N_min agree with the
-    unfiltered sweep.
+    """Like privileged_coalitions, restricted by `minimal_tracks` to minimal
+    coalitions.  The sweep starts one length before the first reported
+    (empty below the valid range), so a fixed r is filtered against r-1
+    like any other.  At the shortest populated length every privileged
+    coalition is minimal, so r_min and N_min agree with the unfiltered sweep.
     """
     return _enumerate_report(query, minimal=True)

@@ -4,6 +4,8 @@ Each maps to a stable CLI exit code: parameter errors 2, authorization
 errors 3, capacity errors 4.
 """
 
+ENUMERATION_GUARD = 10**8  # work items above this are not desk-scale
+
 
 class ParameterError(ValueError):
     """An argument violates a documented precondition."""

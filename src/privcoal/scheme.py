@@ -18,12 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
-from .coalition import (
-    contains_privileged,
-    extension_condition,
-    privileged_tracks,
-    valid_lengths,
-)
+from .coalition import extension_condition, minimal_tracks, privileged_tracks, valid_lengths
 from .errors import AuthorizationError, ParameterError
 from .field import PrimeField
 from .symfun import Track, as_track, elem_sym_all, poly_eval, power_rows, vandermonde_det
@@ -90,7 +85,6 @@ class SecretVector:
 class ShareTable:
     """One share per participant, keyed by public identity."""
 
-    config: SchemeConfig
     entries: tuple[tuple[int, int], ...]
 
     def share(self, identity: int) -> int:
@@ -145,28 +139,21 @@ def derive_access_structure(cfg: SchemeConfig) -> AccessStructure:
     For each j they are the minimal privileged coalitions among the
     participants plus the unextended t-subsets (t-subsets containing no
     privileged coalition, which are therefore minimally authorized).
-    Both are decided by containment: a coalition is minimal, and a
-    t-subset unextended, when it contains none of the privileged
-    coalitions one element shorter that the walk has found.  j = 0 is
-    the index with no privileged coalition (no length is valid for it),
+    One `minimal_tracks` sweep decides both: its layers are the privileged
+    coalitions of every valid length, then the t-subsets, streamed.  j = 0
+    is the index with no privileged coalition (no length is valid for it),
     so its sets are all the t-subsets, tagged "threshold".
     """
     t, field, ids = cfg.t, cfg.field, cfg.identities
     per_index: list[tuple[AuthorizedSet, ...]] = []
     for j in range(t - 1):
-        sets: list[AuthorizedSet] = []
-        shorter: set[Track] = set()
-        for r in valid_lengths(t, j):
-            priv = privileged_tracks(ids, r, t, j, field)
-            for sub in priv:
-                if not contains_privileged(sub, shorter):
-                    sets.append(AuthorizedSet(members=sub, kind="privileged"))
-            shorter = set(priv)
+        layers = [privileged_tracks(ids, r, t, j, field) for r in valid_lengths(t, j)]
         kind = "unextended" if j else "threshold"
-        for sub in itertools.combinations(ids, t):
-            if not contains_privileged(sub, shorter):
-                sets.append(AuthorizedSet(members=sub, kind=kind))
-        per_index.append(tuple(sets))
+        per_index.append(tuple(
+            AuthorizedSet(members=sub, kind="privileged" if len(sub) < t else kind)
+            for layer in minimal_tracks(layers + [itertools.combinations(ids, t)])
+            for sub in layer
+        ))
     return AccessStructure(config=cfg, per_index=tuple(per_index))
 
 
@@ -180,7 +167,7 @@ def deal(cfg: SchemeConfig, sv: SecretVector) -> ShareTable:
         )
     coeffs = sv.coefficients
     entries = tuple((i, poly_eval(coeffs, i, cfg.field)) for i in cfg.identities)
-    return ShareTable(config=cfg, entries=entries)
+    return ShareTable(entries=entries)
 
 
 def _normalize_pairs(shares: SharePairs | Mapping[int, int]) -> list[tuple[int, int]]:

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -107,6 +108,31 @@ def test_table_per_length(capsys):
     assert lines[1] == "17,1,0,74"
 
 
+def test_table_is_linear_in_t(capsys):
+    """A cell's lengths come from their bounds, not from filtering every
+    valid length, so a large t with N = 4 (no valid length) stays fast."""
+    for extra in ([], ["--per-length"]):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "table", "--t", "8009", "--N", "4", "--p", "8009", *extra)
+        assert time.perf_counter() - start < 2.0
+        assert code == 0 and out.splitlines()[1].split(",")[0] == "8009"
+
+
+def test_enumerate_minimal_at_fixed_r_filters_against_length_r_minus_1(capsys):
+    """Length 5 is populated here, so the minimal walk at --r 6 drops the
+    6-tracks containing a privileged 5-track, as the table's sweep does."""
+    argv = ["enumerate", "--t", "7", "--j", "2", "--p", "17", "--N", "13", "--r", "6"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["count"] == 111
+    code, out, _ = run(capsys, *argv, "--minimal")
+    assert code == 0 and json.loads(out)["count"] == 63
+    _, out, _ = run(
+        capsys, "table", "--t", "7", "--N", "13", "--p", "17", "--j", "2", "--format", "json"
+    )
+    cell = json.loads(out)["cells"]["17"]["2"]
+    assert cell["per_length"]["5"] > 0 and cell["per_length"]["6"] == 63
+
+
 def test_table_rejects_composite(capsys):
     code, _, err = run(capsys, "table", "--t", "7", "--N", "13", "--p", "15")
     assert code == 2
@@ -169,6 +195,28 @@ def test_table_checks_primes_and_t_before_the_j_range(capsys, args, message):
     code, out, err = run(capsys, "table", *args)
     assert code == 2 and out == ""
     assert err.startswith("parameter error:") and message in err
+
+
+WALK_REFUSALS = [
+    (["enumerate", "--t", "5", "--j", "2", "--p", "2305843009213693951",
+      "--N", "2305843009213693951"], "C(2305843009213693950, r - 1) over r = 3..4"),
+    (["table", "--t", "2305843009213693951", "--N", "4", "--p", "2305843009213693951"],
+     "t - 2 = 2305843009213693949"),
+    (["enumerate", "--t", "7", "--j", "3", "--p", "10007", "--N", "10006"],
+     "C(10006, r - 1) over r = 4..6"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", WALK_REFUSALS, ids=["enumerate-N-2^61", "table-t-2^61", "enumerate-N-10006"]
+)
+def test_walks_beyond_the_enumeration_guard_are_refused_before_allocating(
+    capsys, argv, message
+):
+    code, out, err = run(capsys, *argv)
+    assert code == 4 and out == ""
+    assert err.startswith("capacity error:") and message in err
+    assert "100000000 enumeration guard" in err
 
 
 def test_shares_file_that_is_not_json_is_a_parameter_error(tmp_path, capsys):

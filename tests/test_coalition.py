@@ -1,7 +1,9 @@
 """Coalition predicates and enumeration."""
 
+import functools
 import inspect
 import itertools
+import math
 import random
 import sys
 
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from privcoal import (
+    CapacityError,
     CoalitionQuery,
     ParameterError,
     PrimeField,
@@ -21,7 +24,9 @@ from privcoal import (
     privileged_tracks,
     valid_lengths,
 )
+from privcoal.coalition import _check_walk
 
+import oracles
 from oracles import (
     determines_coefficient,
     elem_sym_subsets,
@@ -305,10 +310,15 @@ def _planted_coalition(rng, t, j, p):
 
 
 @pytest.mark.parametrize("p", WALK_PRIMES)
-def test_walk_matches_brute_force_lister(p):
+def test_walk_matches_brute_force_lister(p, monkeypatch):
+    # the unextended oracle asks the rank oracle about every proper
+    # subtrack; t-subsets share most of theirs, so remember the answers
+    monkeypatch.setattr(
+        oracles, "determines_coefficient", functools.cache(oracles.determines_coefficient)
+    )
     rng = random.Random(p)
     field = PrimeField(p)
-    hits = 0
+    hits = extended = 0
     for _ in range(12):
         t = rng.randint(3, min(7, p))
         j = rng.randint(1, t - 2)
@@ -327,7 +337,13 @@ def test_walk_matches_brute_force_lister(p):
             structure = derive_access_structure(SchemeConfig(t=t, field=field, identities=ids))
             got = [a.members for a in structure.minimal_sets(j) if a.kind == "privileged"]
             assert got == minimal_privileged_brute(ids, t, j, p, valid_lengths(t, j))
-    assert hits >= 12
+            subsets = list(itertools.combinations(sorted(ids), t))
+            for index, kind in ((j, "unextended"), (0, "threshold")):
+                got = [a.members for a in structure.minimal_sets(index) if a.kind == kind]
+                want = [s for s in subsets if unextended_by_all_subtracks(s, t, index, p)]
+                assert got == want, (t, index, ids)
+                extended += len(subsets) - len(want)
+    assert hits >= 12 and extended > 0
 
 
 def test_walk_depth_leaves_the_call_stack_alone():
@@ -350,6 +366,30 @@ def test_walk_depth_leaves_the_call_stack_alone():
     finally:
         sys.setrecursionlimit(limit)
     assert want and got == want
+
+
+def test_walk_guard_counts_the_prefixes_exactly():
+    """The enumeration guard refuses a walk exactly when the sum of
+    C(n, r - 1) over its lengths exceeds it, at either end of the
+    binomial and across lengths, without computing huge binomials."""
+    cases = [  # (n, lengths, refused)
+        (14142, range(3, 4), False),  # C(n, 2) = 99,991,011
+        (14143, range(3, 4), True),  # C(n, 2) = 100,005,153
+        (14142, range(14141, 14142), False),  # C(n, n - 2) = C(n, 2)
+        (14143, range(14142, 14143), True),
+        (843, range(3, 5), False),  # C(n, 2) + C(n, 3) = 99,846,044
+        (844, range(3, 5), True),  # 100,201,790
+        (60, range(20, 40), True),
+        (10**18, range(3, 4), True),
+        (10**6, range(500001, 500002), True),  # C(n, n / 2) alone takes seconds
+    ]
+    for n, lengths, refused in cases:
+        assert refused == (n > 10**5 or sum(math.comb(n, r - 1) for r in lengths) > 10**8)
+        if refused:
+            with pytest.raises(CapacityError, match="10+ enumeration guard"):
+                _check_walk(n, lengths)
+        else:
+            _check_walk(n, lengths)
 
 
 def test_walk_preconditions():
@@ -378,7 +418,9 @@ def test_reports_match_brute_force_lister():
             minimal = minimal_privileged_brute(ids, t, j, p, walked)
             report = privileged_coalitions(query)
             assert report.coalitions == tuple(priv), (p, t, j, n, r)
-            assert minimal_privileged_coalitions(query).coalitions == tuple(minimal)
+            minimal_report = minimal_privileged_coalitions(query)
+            assert minimal_report.coalitions == tuple(minimal)
+            assert (minimal_report.r_min, minimal_report.n_min) == (report.r_min, report.n_min)
             if r is None and priv:
                 r_min = len(priv[0])
                 assert (report.r_min, report.n_min) == (r_min, sum(len(c) == r_min for c in priv))
