@@ -5,6 +5,10 @@ Every document embeds a manifest (tool version plus fully resolved
 parameters) so results are reproducible from the output alone; output
 files are written atomically (temp file + rename).
 
+JSON documents are written by `_layout`: the bytes of
+json.dumps(doc, indent=2), built from C-encoded leaves.  The argument
+parser is built once per process, on the first call to `main`.
+
 Exit codes: 0 success, 2 parameter error, 3 authorization error,
 4 capacity error (an audit, enumeration walk or table grid beyond the
 enumeration guard).
@@ -13,10 +17,12 @@ enumeration guard).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import tempfile
+from json.encoder import encode_basestring_ascii as _encode_string
 
 from . import __version__
 from .audit import DOMAINS, FULL_FIELD, perfectness_report
@@ -37,6 +43,8 @@ EXIT_PARAMETER = 2
 EXIT_AUTHORIZATION = 3
 EXIT_CAPACITY = 4
 
+_INT = {int}  # the item types of a list written with one join; bool is not int
+
 
 def _manifest(
     subcommand: str,
@@ -55,6 +63,67 @@ def _manifest(
     if seed is not None:
         out["seed"] = seed
     return out
+
+
+def _leaf(value: object, pad: str) -> str | None:
+    """The JSON text of a scalar, an empty container or a list of ints
+    whose items start at `pad`; None for any other container."""
+    if isinstance(value, str):
+        return _encode_string(value)
+    if isinstance(value, (dict, list, tuple)):
+        if not value:
+            return "{}" if isinstance(value, dict) else "[]"
+        if isinstance(value, dict) or {*map(type, value)} != _INT:
+            return None
+        return "[" + pad + ("," + pad).join(map(int.__repr__, value)) + pad[:-2] + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return int.__repr__(value)
+
+
+def _layout(doc: object) -> str:
+    """The text of json.dumps(doc, indent=2), byte for byte.
+
+    json.dumps lays out an indented document in pure Python.  Here every
+    leaf comes from the C encoder (`_leaf`), and a container whose items
+    are all leaves is written with one join; only deeper containers are
+    descended, through an explicit stack of (items, closing text) pairs,
+    so nesting depth is not bounded by recursion.
+    """
+    out: list[str] = []
+    stack = [(iter((("", doc, _leaf(doc, "\n  ")),)), "")]
+    while stack:
+        items, close = stack[-1]
+        for head, value, text in items:
+            out.append(head)
+            if text is not None:
+                out.append(text)
+                continue
+            pad = "\n" + "  " * len(stack)
+            inner = pad + "  "
+            is_dict = isinstance(value, dict)
+            values = value.values() if is_dict else value
+            texts = [_leaf(v, inner) for v in values]
+            heads = [pad] + ["," + pad] * (len(texts) - 1)
+            if is_dict:
+                heads = [h + _encode_string(k) + ": " for h, k in zip(heads, value)]
+                opening, end = "{", pad[:-2] + "}"
+            else:
+                opening, end = "[", pad[:-2] + "]"
+            if None not in texts:
+                out.append(opening + "".join(map(str.__add__, heads, texts)) + end)
+                continue
+            out.append(opening)
+            stack.append((zip(heads, values, texts), end))
+            break
+        else:
+            stack.pop()
+            out.append(close)
+    return "".join(out)
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -80,19 +149,33 @@ def _parse_int(token: str, raw: str) -> int:
         raise ParameterError(f"{token.strip()!r} in {raw!r} is not an integer") from None
 
 
-def _parse_identities(raw: str) -> list[int]:
-    """Accepts comma-separated values and a..b ranges, e.g. '1..6' or '1,2,9'."""
-    out: list[int] = []
+def _parse_identities(raw: str, p: int) -> list[int]:
+    """Accepts comma-separated values and a..b ranges, e.g. '1..6' or '1,2,9'.
+
+    Range ends must be identities of F_p, and the ranges may list at most
+    ENUMERATION_GUARD identities; both are checked before any range is
+    expanded.
+    """
+    spans: list[range] = []
     for token in raw.split(","):
         token = token.strip()
         if ".." in token:
-            lo, hi = token.split("..", 1)
-            out.extend(range(_parse_int(lo, raw), _parse_int(hi, raw) + 1))
+            lo, hi = (_parse_int(end, raw) for end in token.split("..", 1))
+            for end in (lo, hi):
+                if not 1 <= end <= p - 1:
+                    raise ParameterError(f"identity {end} outside [1, {p - 1}]")
+            spans.append(range(lo, hi + 1))
         elif token:
-            out.append(_parse_int(token, raw))
-    if not out:
+            value = _parse_int(token, raw)
+            spans.append(range(value, value + 1))
+    count = sum(max(0, span.stop - span.start) for span in spans)
+    if count > ENUMERATION_GUARD:
+        raise CapacityError(
+            f"{count} identities in {raw!r} exceed the {ENUMERATION_GUARD} enumeration guard"
+        )
+    if not count:
         raise ParameterError(f"no identities in {raw!r}")
-    return out
+    return [i for span in spans for i in span]
 
 
 def _parse_int_list(raw: str) -> list[int]:
@@ -126,7 +209,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         output_path=args.output,
     )
     if args.format == "json":
-        _emit(json.dumps(doc, indent=2), args.output)
+        _emit(_layout(doc), args.output)
     elif args.format == "csv":
         lines = ["elements"] + [" ".join(str(x) for x in c) for c in doc["coalitions"]]
         _emit("\n".join(lines), args.output)
@@ -184,7 +267,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
             "cells": {str(p): {str(j): grid[p][j] for j in j_list} for p in primes},
             "manifest": manifest,
         }
-        _emit(json.dumps(doc, indent=2), args.output)
+        _emit(_layout(doc), args.output)
         return EXIT_OK
     if args.per_length:
         # t <= p for every prime, so a cell's lengths do not depend on its prime
@@ -209,8 +292,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_access_structure(args: argparse.Namespace) -> int:
+    field = PrimeField(args.p)
     cfg = SchemeConfig(
-        t=args.t, field=PrimeField(args.p), identities=_parse_identities(args.identities)
+        t=args.t, field=field, identities=_parse_identities(args.identities, field.p)
     )
     structure = derive_access_structure(cfg)
     doc = structure.to_dict()
@@ -230,13 +314,15 @@ def _cmd_access_structure(args: argparse.Namespace) -> int:
                 )
         _emit("\n".join(lines), args.output)
     else:
-        _emit(json.dumps(doc, indent=2), args.output)
+        _emit(_layout(doc), args.output)
     return EXIT_OK
 
 
 def _cmd_deal(args: argparse.Namespace) -> int:
     field = PrimeField(args.p)
-    cfg = SchemeConfig(t=args.t, field=field, identities=_parse_identities(args.identities))
+    cfg = SchemeConfig(
+        t=args.t, field=field, identities=_parse_identities(args.identities, field.p)
+    )
     if args.seed is not None:
         if args.secrets or args.blinding is not None:
             raise ParameterError("give either --seed or explicit --secrets/--blinding")
@@ -267,7 +353,7 @@ def _cmd_deal(args: argparse.Namespace) -> int:
         "distribute over a secure channel",
         file=sys.stderr,
     )
-    _emit(json.dumps(doc, indent=2), args.output)
+    _emit(_layout(doc), args.output)
     return EXIT_OK
 
 
@@ -299,7 +385,7 @@ def _load_shares(path: str) -> tuple[SchemeConfig, dict[int, int]]:
 
 def _cmd_recover(args: argparse.Namespace) -> int:
     cfg, shares = _load_shares(args.shares)
-    subset = sorted(set(_parse_identities(args.subset)))
+    subset = sorted(set(_parse_identities(args.subset, cfg.field.p)))
     missing = [i for i in subset if i not in shares]
     if missing:
         raise ParameterError(f"identities {missing} not present in the shares file")
@@ -312,8 +398,9 @@ def _cmd_recover(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
+    field = PrimeField(args.p)
     cfg = SchemeConfig(
-        t=args.t, field=PrimeField(args.p), identities=_parse_identities(args.identities)
+        t=args.t, field=field, identities=_parse_identities(args.identities, field.p)
     )
     report = perfectness_report(cfg, domain=args.domain, seed=args.seed)
     doc = report.to_dict()
@@ -328,11 +415,13 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         seed=args.seed,
         output_path=args.output,
     )
-    _emit(json.dumps(doc, indent=2), args.output)
+    _emit(_layout(doc), args.output)
     return EXIT_OK if report.passed else EXIT_AUDIT_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused by every call."""
     parser = argparse.ArgumentParser(
         prog="privcoal",
         description=(

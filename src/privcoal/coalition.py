@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ENUMERATION_GUARD, CapacityError, ParameterError
 from .field import PrimeField
@@ -295,24 +295,36 @@ class CoalitionReport:
         }
 
 
-def _check_walk(n: int, lengths: range) -> None:
-    """Refuse a walk over more (r-1)-prefixes of n identities than the guard."""
+def binomial_sum(n: int, sizes: Iterable[int]) -> int:
+    """The sum of C(n, k) over the sizes, exact up to ENUMERATION_GUARD.
+
+    Each binomial grows term by term (C(n, i) rises up to i = n / 2), and
+    the count stops once it passes the guard, so a huge binomial is
+    never computed.
+    """
     total = 0
-    for r in lengths:
-        c = 1
-        for i in range(min(r - 1, n - r + 1)):  # C(n, r-1), left once past the guard
+    for k in sizes:
+        c = int(0 <= k <= n)
+        for i in range(min(k, n - k)):
             c = c * (n - i) // (i + 1)
             if total + c > ENUMERATION_GUARD:
-                raise CapacityError(
-                    f"the sum of C({n}, r - 1) over r = {lengths[0]}..{lengths[-1]} "
-                    f"exceeds the {ENUMERATION_GUARD} enumeration guard"
-                )
+                return total + c
         total += c
+    return total
+
+
+def check_walk(n: int, lengths: Sequence[int]) -> None:
+    """Refuse a walk over more (r-1)-prefixes of n identities than the guard."""
+    if binomial_sum(n, [r - 1 for r in lengths]) > ENUMERATION_GUARD:
+        raise CapacityError(
+            f"the sum of C({n}, r - 1) over r = {lengths[0]}..{lengths[-1]} "
+            f"exceeds the {ENUMERATION_GUARD} enumeration guard"
+        )
 
 
 def _enumerate_report(query: CoalitionQuery, minimal: bool) -> CoalitionReport:
     t, j, field, lengths = query.t, query.j, query.field, query.lengths
-    _check_walk(query.effective_n_max, lengths)
+    check_walk(query.effective_n_max, lengths)
     ids = tuple(range(1, query.effective_n_max + 1))
     # a minimal sweep walks the length before the first only to filter it
     walked = range(lengths.start - minimal, lengths.stop)

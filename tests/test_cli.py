@@ -8,9 +8,10 @@ import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import privcoal
-from privcoal.cli import main
+from privcoal.cli import _layout, build_parser, main
 
 TESTS_DIR = pathlib.Path(__file__).parent
 
@@ -219,6 +220,66 @@ def test_walks_beyond_the_enumeration_guard_are_refused_before_allocating(
     assert "100000000 enumeration guard" in err
 
 
+P61 = "2305843009213693951"
+HUGE_RANGE = "1..1000000000000"
+IDENTITY_REFUSALS = [
+    (["deal", "--t", "5", "--p", "7", "--identities", HUGE_RANGE, "--seed", "1"],
+     2, "parameter error: identity 1000000000000 outside [1, 6]"),
+    (["access-structure", "--t", "5", "--p", "7", "--identities", HUGE_RANGE],
+     2, "parameter error: identity 1000000000000 outside [1, 6]"),
+    (["audit", "--t", "4", "--p", "7", "--identities", HUGE_RANGE],
+     2, "parameter error: identity 1000000000000 outside [1, 6]"),
+    (["deal", "--t", "5", "--p", P61, "--identities", HUGE_RANGE, "--seed", "1"],
+     4, "capacity error: 1000000000000 identities in '1..1000000000000' exceed"),
+    (["access-structure", "--t", "5", "--p", P61, "--identities", HUGE_RANGE],
+     4, "capacity error: 1000000000000 identities in '1..1000000000000' exceed"),
+    (["audit", "--t", "4", "--p", P61, "--identities", HUGE_RANGE],
+     4, "capacity error: 1000000000000 identities in '1..1000000000000' exceed"),
+    (["audit", "--t", "4", "--p", P61, "--identities", "1..60000000,1..60000000"],
+     4, "capacity error: 120000000 identities in '1..60000000,1..60000000' exceed"),
+    (["access-structure", "--t", "8", "--p", "101", "--identities", "1..60"],
+     4, "capacity error: C(60, 8) t-subsets exceed"),
+    (["access-structure", "--t", "35", "--p", "41", "--identities", "1..40"],
+     4, "capacity error: the sum of C(40, r - 1) over r = "),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    IDENTITY_REFUSALS,
+    ids=[
+        "deal-p7", "access-structure-p7", "audit-p7", "deal-p61", "access-structure-p61",
+        "audit-p61", "audit-two-ranges", "access-structure-C(60,8)", "access-structure-walk",
+    ],
+)
+def test_identity_ranges_and_access_structures_are_bounded_before_allocating(
+    capsys, argv, code, message
+):
+    """Each of these once expanded a range, or walked C(n, t) subsets,
+    until a MemoryError traceback ended it."""
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert err.startswith(message)
+    if code == 4:
+        assert "100000000 enumeration guard" in err
+
+
+def test_recover_bounds_subset_ranges_by_the_shares_files_field(tmp_path, capsys):
+    shares = tmp_path / "shares.json"
+    for p, code, message in [
+        ("7", 2, "parameter error: identity 1000000000000 outside [1, 6]"),
+        (P61, 4, "capacity error: 1000000000000 identities in '1..1000000000000' exceed"),
+    ]:
+        assert run(
+            capsys, "deal", "--t", "2", "--p", p, "--identities", "1..3", "--seed", "1",
+            "--output", str(shares),
+        )[0] == 0
+        got, out, err = run(
+            capsys, "recover", "--shares", str(shares), "--subset", HUGE_RANGE, "--j", "0"
+        )
+        assert (got, out) == (code, "") and err.startswith(message)
+
+
 def test_shares_file_that_is_not_json_is_a_parameter_error(tmp_path, capsys):
     shares = tmp_path / "shares.json"
     shares.write_text("{not json")
@@ -399,6 +460,59 @@ def test_explore_output_matches_golden(capsys, golden):
     code, out, err = run(capsys, *golden["argv"])
     assert (code, err) == (0, "")
     assert out == golden["stdout"]
+
+
+def test_one_parser_serves_calls_back_to_back(capsys):
+    """main builds its parser once per process, so no call may see the
+    options, defaults or error of the call before it: each prints what a
+    call on a freshly built parser prints."""
+    enum = ["enumerate", "--t", "7", "--j", "2", "--p", "13", "--N", "12"]
+    table = ["table", "--t", "7", "--N", "13", "--p", "17,19"]
+    missing_n = ["enumerate", "--t", "7", "--j", "2", "--p", "13"]
+    sequence = [enum + ["--minimal"], enum, table + ["--per-length"], table, missing_n, enum]
+
+    def call(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    lone = []
+    for argv in sequence:
+        build_parser.cache_clear()
+        lone.append(call(argv))
+    build_parser.cache_clear()
+    assert [call(argv) for argv in sequence] == lone
+    assert build_parser.cache_info().misses == 1
+    assert lone[0][1] != lone[1][1] and lone[2][1] != lone[3][1]
+    assert lone[4][:2] == (2, "") and "required: --N" in lone[4][2]
+    for golden in EXPLORE_GOLDENS:
+        assert call(golden["argv"]) == (0, golden["stdout"], "")
+
+
+# JSON trees with every leaf kind the layout writes: bool beside int,
+# 61-bit and negative ints, strings with quotes, backslashes, control
+# characters and non-ASCII, and empty containers at any depth
+JSON_TREES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**62), max_value=2**62)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=6)
+    | st.dictionaries(st.text(max_size=6), children, max_size=6),
+    max_leaves=60,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_TREES)
+@example([True, 1, False, 0, None, [1, True], [0, 2**61 - 1, -(2**61)]])
+@example({"": [[[{}]], [[]], {"a": {}}], '"\\\x00\x1f\u00e9\U0001f600': ["\ud800", "\n"]})
+@example([(1, 2), ((3,), ()), {"t": (True, None)}])
+def test_layout_matches_json_dumps_indent_2(doc):
+    assert _layout(doc) == json.dumps(doc, indent=2)
 
 
 def run_python(*args):

@@ -24,7 +24,7 @@ from privcoal import (
     privileged_tracks,
     valid_lengths,
 )
-from privcoal.coalition import _check_walk
+from privcoal.coalition import check_walk
 
 import oracles
 from oracles import (
@@ -387,9 +387,9 @@ def test_walk_guard_counts_the_prefixes_exactly():
         assert refused == (n > 10**5 or sum(math.comb(n, r - 1) for r in lengths) > 10**8)
         if refused:
             with pytest.raises(CapacityError, match="10+ enumeration guard"):
-                _check_walk(n, lengths)
+                check_walk(n, lengths)
         else:
-            _check_walk(n, lengths)
+            check_walk(n, lengths)
 
 
 def test_walk_preconditions():
