@@ -3,15 +3,21 @@
 For every participant subset A (up to size t), every secret index j, and
 every set T of other secret indices assumed known, the auditor computes
 the exact conditional distribution of s_j given A's shares and T.  No
-coefficient vector is enumerated.  A's shares leave an affine space
-a = x + B.alpha of coefficient vectors, alpha ranging over F_p^dim; each
-known secret adds one linear equation on alpha.  The coefficient domain
+coefficient vector is enumerated.  Each linear condition on the
+coefficient vector a (a share, a known secret, a coordinate forced to
+zero) is folded by `linalg.fold` into the coordinate functionals of the
+affine space of vectors that meet the conditions so far: a_i is fixed
+there exactly when its functional has no coefficient part, and the
+space has dimension t minus the number of conditions that were new.
+Each subset is folded from its prefix subset, one size at a time, and
+each known set from its prefix known set.  The coefficient domain
 (nonzero blinding, or every coefficient nonzero) is counted by
 inclusion-exclusion over the patterns Z of restricted coordinates forced
-to zero: each consistent pattern is again an affine space, signed by
-(-1)^|Z|, on which s_j is either constant (adding p^dim to one value)
-or exactly uniform (adding p^(dim-1) to every value).  Verdicts come
-from these exact integer counts, never floating point:
+to zero, walked depth first from each (subset, known set) space: each
+consistent pattern is again an affine space, signed by (-1)^|Z|, on
+which each s_j is either constant (adding p^dim to one value) or exactly
+uniform (adding p^(dim-1) to every value), so one walk counts every j.
+Verdicts come from these exact integer counts, never floating point:
 
 * determined - a point mass (the subset pins the secret down),
 * uniform    - literally equal counts over the whole coefficient domain,
@@ -21,8 +27,8 @@ from these exact integer counts, never floating point:
 The audit passes only when authorized subsets are determined at the
 dealt value and unauthorized ones stay exactly uniform for every T.
 Histograms of violating cells are written out value by value over F_p,
-so instances with p^t above the enumeration guard are refused (CLI exit
-code 4).
+so instances with p^t, or with their cell count times p, above the
+enumeration guard are refused before dealing (CLI exit code 4).
 """
 
 from __future__ import annotations
@@ -31,9 +37,10 @@ import itertools
 from dataclasses import dataclass
 
 from . import linalg
+from .coalition import binomial_sum
 from .errors import ENUMERATION_GUARD, CapacityError, ParameterError
 from .scheme import SchemeConfig, SecretVector, deal
-from .symfun import Track, power_rows
+from .symfun import Track
 
 FULL_FIELD = "full-field"  # secrets range over F_p, blinding nonzero
 ALL_NONZERO = "all-nonzero"  # every coefficient nonzero
@@ -41,11 +48,20 @@ DOMAINS = (FULL_FIELD, ALL_NONZERO)
 
 
 def _check_capacity(cfg: SchemeConfig) -> None:
-    size = cfg.field.p**cfg.t
+    """Refuse p^t, then the values the report may write (a violating
+    cell writes up to p), beyond the guard, before anything is dealt."""
+    t, p, n = cfg.t, cfg.field.p, len(cfg.identities)
+    size = p**t
     if size > ENUMERATION_GUARD:
         raise CapacityError(
-            f"p^t = {cfg.field.p}^{cfg.t} = {size} exceeds the "
-            f"{ENUMERATION_GUARD} enumeration guard"
+            f"p^t = {p}^{t} = {size} exceeds the {ENUMERATION_GUARD} enumeration guard"
+        )
+    per_subset = (t - 1) * 2 ** (t - 2)
+    if binomial_sum(n, range(t + 1)) * per_subset * p > ENUMERATION_GUARD:
+        raise CapacityError(
+            f"the sum of C({n}, s) over s = 0..{t} subsets, times {per_subset} cells "
+            f"and p = {p} histogram values each, exceeds the {ENUMERATION_GUARD} "
+            "enumeration guard"
         )
 
 
@@ -54,73 +70,59 @@ def _check_domain(domain: str) -> None:
         raise ParameterError(f"unknown coefficient domain {domain!r}")
 
 
-class _ConsistentSpace:
-    """The coefficient vectors in the domain that match one subset's
-    shares, as a signed sum of affine spaces.
+# an affine space of coefficient vectors: its coordinate functionals
+# (see linalg.fold) and its dimension
+Node = tuple[linalg.Functionals, int]
 
-    Coordinate i of a matching vector is base[i] + coords[i] . alpha.
-    Each inclusion-exclusion term is (sign, echelon): the echelon holds
-    the equations on alpha of the known secrets and of one zero pattern,
-    and the term's space has dimension dim - len(echelon).
+
+def _fix(node: Node, i: int, value: int, p: int) -> Node | None:
+    """The node with the equation a_i = value folded in: the same node
+    when a_i is already fixed at value there, None when at another."""
+    functionals, dim = node
+    f = functionals[i]
+    if any(f[:-1]):
+        row = [0] * len(f)
+        row[i], row[-1] = 1, value
+        return linalg.fold(functionals, row, p), dim - 1
+    return node if (f[-1] + value) % p == 0 else None
+
+
+def _value_counts(
+    node: Node, secrets: int, zeros: tuple[int, ...], p: int
+) -> tuple[int, list[tuple[int, dict[int, int]]]]:
+    """Count the points of the node that lie in the domain, and the
+    values each secret a_j, j < secrets, takes on them.
+
+    Returns (total, [(level, points) for each j]): a_j takes every value
+    level + points.get(value, 0) times, and points holds no zero entry.
+    The domain is counted by inclusion-exclusion over the patterns of
+    coordinates in `zeros` forced to zero, walked depth first: each
+    pattern is one more fold, signed by (-1)^|pattern|, and a pattern
+    that contradicts the node does so for every pattern containing it.
+    On each pattern's space a_j is constant, adding p^dim to one value,
+    or exactly uniform, adding p^(dim-1) to every value.
     """
-
-    def __init__(
-        self, base: list[int], basis: list[list[int]], dealt: tuple[int, ...],
-        restricted: tuple[int, ...], p: int,
-    ) -> None:
-        self.base = base
-        self.coords = [[vec[i] for vec in basis] for i in range(len(base))]
-        self.dim = len(basis)
-        self.dealt = dealt
-        self.restricted = restricted
-        self.p = p
-        self._terms: dict[tuple[int, ...], list[tuple[int, linalg.Echelon]]] = {}
-
-    def _equation(self, i: int, value: int) -> list[int]:
-        return self.coords[i] + [(value - self.base[i]) % self.p]
-
-    def terms(self, known: tuple[int, ...]) -> list[tuple[int, linalg.Echelon]]:
-        """Terms for the secrets in `known` fixed at their dealt values;
-        every secret index outside `known` shares them."""
-        if known in self._terms:
-            return self._terms[known]
-        echelon: linalg.Echelon = []
-        for k in known:
-            echelon = linalg.extend_echelon(echelon, self._equation(k, self.dealt[k]), self.p)
-            assert echelon is not None, "the dealt vector agrees with its own secrets"
-        # depth-first over zero patterns; a pattern that contradicts the
-        # equations so far does so for every pattern containing it
-        out = []
-        stack = [(echelon, 0, 1)]
-        while stack:
-            echelon, start, sign = stack.pop()
-            out.append((sign, echelon))
-            for pos in range(start, len(self.restricted)):
-                row = self._equation(self.restricted[pos], 0)
-                grown = linalg.extend_echelon(echelon, row, self.p)
-                if grown is not None:
-                    stack.append((grown, pos + 1, -sign))
-        self._terms[known] = out
-        return out
-
-    def count(self) -> int:
-        return sum(sign * self.p ** (self.dim - len(e)) for sign, e in self.terms(()))
-
-    def histogram(self, j: int, known: tuple[int, ...]) -> tuple[int, dict[int, int]]:
-        """Counts of s_j as (level, points): every value occurs
-        level + points.get(value, 0) times; points holds no zero entry."""
-        p = self.p
-        level = 0
-        points: dict[int, int] = {}
-        for sign, echelon in self.terms(known):
-            dim = self.dim - len(echelon)
-            rest = linalg.reduce_row(echelon, self.coords[j] + [0], p)
-            if any(rest[:-1]):
-                level += sign * p ** (dim - 1)
+    total = 0
+    levels = [0] * secrets
+    points: list[dict[int, int]] = [{} for _ in range(secrets)]
+    stack = [(node, 0, 1)]
+    while stack:
+        node, start, sign = stack.pop()
+        functionals, dim = node
+        weight = sign * p**dim
+        total += weight
+        for j in range(secrets):
+            f = functionals[j]
+            if any(f[:-1]):
+                levels[j] += weight // p
             else:
-                value = (self.base[j] - rest[-1]) % p
-                points[value] = points.get(value, 0) + sign * p**dim
-        return level, {v: c for v, c in points.items() if c}
+                value = -f[-1] % p
+                points[j][value] = points[j].get(value, 0) + weight
+        for pos in range(start, len(zeros)):
+            child = _fix(node, zeros[pos], 0, p)
+            if child is not None:
+                stack.append((child, pos + 1, -sign))
+    return total, [(lv, {v: c for v, c in pts.items() if c}) for lv, pts in zip(levels, points)]
 
 
 DETERMINED = "determined"
@@ -230,15 +232,30 @@ def perfectness_report(
     cells: list[AuditCell] = []
     violations: list[AuditCell] = []
     notes: list[str] = []
-    restricted = (t - 1,) if domain == FULL_FIELD else tuple(range(t))
+    zeros = (t - 1,) if domain == FULL_FIELD else tuple(range(t))
+    share_rows = {i: [pow(i, k, p) for k in range(t)] + [y] for i, y in table.entries}
+    # every known-set, () first and each after its prefix, and one
+    # subset's cells in report order
+    known_sets = [
+        known for size in range(t - 1) for known in itertools.combinations(secret_indices, size)
+    ]
+    cell_keys = [(j, known) for j in secret_indices for known in known_sets if j not in known]
 
-    for size in range(0, t + 1):
-        for subset in itertools.combinations(cfg.identities, size):
-            pairs = table.subset(subset)
-            rows = power_rows(subset, t, field)
-            solution = linalg.solve_affine(rows, [y for _, y in pairs], p, t)
-            space = _ConsistentSpace(*solution, dealt, restricted, p)  # honest shares solve
-            if not space.count():
+    def add_share(node: Node, row: list[int]) -> Node:
+        grown = linalg.fold(node[0], row, p)  # the dealt vector satisfies every share
+        return node if grown is node[0] else (grown, node[1] - 1)
+
+    # the nodes of the subsets of one size, each folded from its prefix
+    layer = {(): (linalg.unit_functionals(t), t)}
+    for size in range(t + 1):
+        if size:
+            layer = {
+                subset: add_share(layer[subset[:-1]], share_rows[subset[-1]])
+                for subset in itertools.combinations(cfg.identities, size)
+            }
+        for subset, node in layer.items():
+            total, counts = _value_counts(node, t - 1, zeros, p)
+            if not total:
                 notes.append(
                     f"subset {subset}: no vector of the {domain} domain matches these "
                     "shares (the dealt vector lies outside the domain)"
@@ -247,35 +264,42 @@ def perfectness_report(
                     AuditCell(subset=subset, j=-1, known=(), authorized=False, verdict=LEAKY)
                 )
                 continue
-            for j in secret_indices:
-                # a_j is determined when the kernel leaves coordinate j fixed
-                authorized = not any(space.coords[j])
-                others = [i for i in secret_indices if i != j]
-                for ksize in range(len(others) + 1):
-                    for known in itertools.combinations(others, ksize):
-                        level, points = space.histogram(j, known)
-                        verdict = _classify(level, points, p, domain)
-                        ok = True
-                        if authorized:
-                            ok = verdict == DETERMINED and level + points.get(dealt[j], 0) > 0
-                        elif domain == FULL_FIELD:
-                            ok = verdict == UNIFORM
-                        elif verdict != UNIFORM:
-                            notes.append(
-                                f"subset {subset} j={j} known={known}: "
-                                f"non-uniform under {ALL_NONZERO} (informational)"
-                            )
-                        cell = AuditCell(
-                            subset=subset,
-                            j=j,
-                            known=known,
-                            authorized=authorized,
-                            verdict=verdict,
-                            histogram=_materialize(level, points, p) if not ok else None,
-                        )
-                        cells.append(cell)
-                        if not ok:
-                            violations.append(cell)
+            nodes = {(): node}
+            by_known = {(): counts}
+            for known in known_sets[1:]:
+                prefix, k = known[:-1], known[-1]
+                nodes[known] = _fix(nodes[prefix], k, dealt[k], p)  # the dealt vector lies on it
+                by_known[known] = (
+                    by_known[prefix]
+                    if nodes[known] is nodes[prefix]
+                    else _value_counts(nodes[known], t - 1, zeros, p)[1]
+                )
+            # a_j is determined when the shares alone fix it
+            authorized = [not any(node[0][j][:-1]) for j in secret_indices]
+            for j, known in cell_keys:
+                level, points = by_known[known][j]
+                verdict = _classify(level, points, p, domain)
+                ok = True
+                if authorized[j]:
+                    ok = verdict == DETERMINED and level + points.get(dealt[j], 0) > 0
+                elif domain == FULL_FIELD:
+                    ok = verdict == UNIFORM
+                elif verdict != UNIFORM:
+                    notes.append(
+                        f"subset {subset} j={j} known={known}: "
+                        f"non-uniform under {ALL_NONZERO} (informational)"
+                    )
+                cell = AuditCell(
+                    subset=subset,
+                    j=j,
+                    known=known,
+                    authorized=authorized[j],
+                    verdict=verdict,
+                    histogram=_materialize(level, points, p) if not ok else None,
+                )
+                cells.append(cell)
+                if not ok:
+                    violations.append(cell)
 
     return AuditReport(
         config=cfg,

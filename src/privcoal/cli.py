@@ -6,18 +6,20 @@ parameters) so results are reproducible from the output alone; output
 files are written atomically (temp file + rename).
 
 JSON documents are written by `_layout`: the bytes of
-json.dumps(doc, indent=2), built from C-encoded leaves.  The argument
-parser is built once per process, on the first call to `main`.
+json.dumps(doc, indent=2), built from C-encoded leaves and %-formatted
+rows of ints.  The argument parser is built once per process, on the
+first call to `main`.
 
 Exit codes: 0 success, 2 parameter error, 3 authorization error,
 4 capacity error (an audit, enumeration walk or table grid beyond the
-enumeration guard).
+enumeration guard, or more identities than the identity bound).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -26,8 +28,19 @@ from json.encoder import encode_basestring_ascii as _encode_string
 
 from . import __version__
 from .audit import DOMAINS, FULL_FIELD, perfectness_report
-from .coalition import CoalitionQuery, minimal_privileged_coalitions, privileged_coalitions
-from .errors import ENUMERATION_GUARD, AuthorizationError, CapacityError, ParameterError
+from .coalition import (
+    CoalitionQuery,
+    check_identities,
+    minimal_privileged_coalitions,
+    privileged_coalitions,
+)
+from .errors import (
+    ENUMERATION_GUARD,
+    IDENTITY_BOUND,
+    AuthorizationError,
+    CapacityError,
+    ParameterError,
+)
 from .field import PrimeField
 from .scheme import (
     SchemeConfig,
@@ -44,6 +57,7 @@ EXIT_AUTHORIZATION = 3
 EXIT_CAPACITY = 4
 
 _INT = {int}  # the item types of a list written with one join; bool is not int
+_LIST = {list}  # the item types of a list that `_int_rows` may write
 
 
 def _manifest(
@@ -66,16 +80,20 @@ def _manifest(
 
 
 def _leaf(value: object, pad: str) -> str | None:
-    """The JSON text of a scalar, an empty container or a list of ints
-    whose items start at `pad`; None for any other container."""
+    """The JSON text of a scalar, an empty container, a list of ints or
+    a list of int rows (`_int_rows`) whose items start at `pad`; None for
+    any other container."""
     if isinstance(value, str):
         return _encode_string(value)
     if isinstance(value, (dict, list, tuple)):
         if not value:
             return "{}" if isinstance(value, dict) else "[]"
-        if isinstance(value, dict) or {*map(type, value)} != _INT:
+        if isinstance(value, dict):
             return None
-        return "[" + pad + ("," + pad).join(map(int.__repr__, value)) + pad[:-2] + "]"
+        types = {*map(type, value)}
+        if types == _INT:
+            return "[" + pad + ("," + pad).join(map(int.__repr__, value)) + pad[:-2] + "]"
+        return _int_rows(value, pad) if types == _LIST else None
     if value is None:
         return "null"
     if value is True:
@@ -83,6 +101,20 @@ def _leaf(value: object, pad: str) -> str | None:
     if value is False:
         return "false"
     return int.__repr__(value)
+
+
+def _int_rows(rows: list | tuple, pad: str) -> str | None:
+    """The JSON text of non-empty lists of ints, all of one width, whose
+    items start at `pad`: one % template per row; None for any other
+    list of lists."""
+    width = len(rows[0])
+    if not width or {*map(len, rows)} != {width}:
+        return None
+    if {*map(type, itertools.chain.from_iterable(rows))} != _INT:
+        return None
+    inner = pad + "  "
+    row = "[" + inner + ("," + inner).join(["%d"] * width) + pad + "]"
+    return "[" + pad + ("," + pad).join(map(row.__mod__, map(tuple, rows))) + pad[:-2] + "]"
 
 
 def _layout(doc: object) -> str:
@@ -153,8 +185,8 @@ def _parse_identities(raw: str, p: int) -> list[int]:
     """Accepts comma-separated values and a..b ranges, e.g. '1..6' or '1,2,9'.
 
     Range ends must be identities of F_p, and the ranges may list at most
-    ENUMERATION_GUARD identities; both are checked before any range is
-    expanded.
+    ENUMERATION_GUARD, and then at most IDENTITY_BOUND, identities; all
+    are checked before any range is expanded.
     """
     spans: list[range] = []
     for token in raw.split(","):
@@ -175,6 +207,10 @@ def _parse_identities(raw: str, p: int) -> list[int]:
         )
     if not count:
         raise ParameterError(f"no identities in {raw!r}")
+    if count > IDENTITY_BOUND:
+        raise CapacityError(
+            f"{count} identities in {raw!r} exceed the {IDENTITY_BOUND} identity bound"
+        )
     return [i for span in spans for i in span]
 
 
@@ -240,6 +276,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
         raise CapacityError(
             f"t - 2 = {args.t - 2} exceeds the {ENUMERATION_GUARD} enumeration guard"
         )
+    for field in fields:
+        check_identities(min(args.N, field.p - 1))
     j_list = _parse_int_list(args.j) if args.j else list(range(1, args.t - 1))
     grid: dict[int, dict[int, dict]] = {}
     for p, field in zip(primes, fields):

@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ENUMERATION_GUARD, CapacityError, ParameterError
+from .errors import ENUMERATION_GUARD, IDENTITY_BOUND, CapacityError, ParameterError
 from .field import PrimeField
 from .symfun import Track, as_track, elem_sym_all
 
@@ -322,9 +322,18 @@ def check_walk(n: int, lengths: Sequence[int]) -> None:
         )
 
 
+def check_identities(n: int) -> None:
+    """Refuse holding more than IDENTITY_BOUND identities 1..n."""
+    if n > IDENTITY_BOUND:
+        raise CapacityError(
+            f"identities 1..{n} exceed the {IDENTITY_BOUND} identity bound"
+        )
+
+
 def _enumerate_report(query: CoalitionQuery, minimal: bool) -> CoalitionReport:
     t, j, field, lengths = query.t, query.j, query.field, query.lengths
     check_walk(query.effective_n_max, lengths)
+    check_identities(query.effective_n_max)
     ids = tuple(range(1, query.effective_n_max + 1))
     # a minimal sweep walks the length before the first only to filter it
     walked = range(lengths.start - minimal, lengths.stop)
@@ -341,7 +350,8 @@ def privileged_coalitions(query: CoalitionQuery) -> CoalitionReport:
     sweeps every valid length (ordered by length, then lexicographically)
     and reports the shortest populated length r_min together with the
     number of privileged coalitions found there (N_min).  A walk over more
-    than ENUMERATION_GUARD (r-1)-prefixes raises CapacityError.
+    than ENUMERATION_GUARD (r-1)-prefixes, or over more than IDENTITY_BOUND
+    identities, raises CapacityError.
     """
     return _enumerate_report(query, minimal=False)
 

@@ -5,6 +5,7 @@ errors 3, capacity errors 4.
 """
 
 ENUMERATION_GUARD = 10**8  # work items above this are not desk-scale
+IDENTITY_BOUND = 10**6  # identities one command may hold in memory
 
 
 class ParameterError(ValueError):
@@ -16,4 +17,5 @@ class AuthorizationError(RuntimeError):
 
 
 class CapacityError(RuntimeError):
-    """An exhaustive enumeration would exceed the desk-scale guard."""
+    """An exhaustive enumeration would exceed the desk-scale guard, or a
+    command would hold more identities than the identity bound."""

@@ -1,10 +1,14 @@
 """Gaussian elimination over F_p, one equation at a time.
 
-The one elimination kernel of the package: `extend_echelon` folds an
-equation into an echelon and says whether it is new, implied or
-contradictory, and `solve_affine` is its back substitution.  Recovery
-from shares and the audit's solution spaces both go through it.
-Matrices are lists of rows of integers; nothing here mutates its inputs.
+The one elimination kernel of the package, in two forms that share the
+pivot-and-scale step (`_pivot`).  `extend_echelon` folds an equation
+into an echelon and says whether it is new, implied or contradictory,
+and `solve_affine` is its back substitution: recovery from shares goes
+through it.  `fold` folds an equation into the coordinate functionals
+of an affine space instead, so every coordinate's value, when fixed,
+can be read off without a back substitution: the audit's solution
+spaces go through it.  Matrices are lists of rows of integers; nothing
+here mutates its inputs.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ from operator import mul
 
 # (pivot column, row) pairs, as built by extend_echelon
 Echelon = list[tuple[int, list[int]]]
+# one augmented vector f per coordinate, as built by fold
+Functionals = list[list[int]]
 
 
 def reduce_row(echelon: Echelon, row: list[int], p: int) -> list[int]:
@@ -31,6 +37,17 @@ def reduce_row(echelon: Echelon, row: list[int], p: int) -> list[int]:
     return v
 
 
+def _pivot(v: list[int], p: int) -> tuple[int, list[int]] | None:
+    """The first column of an augmented row that is nonzero mod p, and
+    the row reduced and scaled to 1 there; None when only the right-hand
+    side can be nonzero."""
+    for col in range(len(v) - 1):
+        if v[col] % p:
+            inv = pow(v[col], -1, p)
+            return col, [x * inv % p for x in v]
+    return None
+
+
 def extend_echelon(echelon: Echelon, row: list[int], p: int) -> Echelon | None:
     """Add one equation to an echelon of augmented rows (last entry the
     right-hand side).
@@ -40,13 +57,45 @@ def extend_echelon(echelon: Echelon, row: list[int], p: int) -> Echelon | None:
     contradicts the equations already there.
     """
     v = reduce_row(echelon, row, p)
-    for col in range(len(v) - 1):
-        if v[col]:
-            break
-    else:
+    pivot = _pivot(v, p)
+    if pivot is None:
         return None if v[-1] else echelon
-    inv = pow(v[col], -1, p)
-    return echelon + [(col, [x * inv % p for x in v])]
+    return echelon + [pivot]
+
+
+def unit_functionals(n: int) -> Functionals:
+    """The coordinate functionals of all of F_p^n, for `fold`."""
+    return [[int(i == k) for k in range(n + 1)] for i in range(n)]
+
+
+def fold(functionals: Functionals, row: list[int], p: int) -> Functionals | None:
+    """Add one equation (an augmented row, last entry the right-hand
+    side) to an affine space held as its coordinate functionals.
+
+    functionals[i] is an augmented vector f with x_i = f[:-1] . x - f[-1]
+    at every point x of the space, and 0 at the pivot column of every
+    equation folded so far.  So x_i is fixed on the space exactly when
+    f[:-1] is zero, and its value is then -f[-1] mod p.
+
+    The equation, rewritten through the functionals, is 0 at every
+    pivot.  Returns the same list when it is implied, None when it
+    contradicts the space, and otherwise new functionals: the rewritten
+    equation scaled to 1 at a new pivot, subtracted once from each
+    functional that is nonzero there.
+    """
+    v = [0] * len(row)
+    for r, f in zip(row, functionals):
+        if r:
+            v = [a + r * b for a, b in zip(v, f)]
+    v[-1] += row[-1]
+    pivot = _pivot(v, p)
+    if pivot is None:
+        return None if v[-1] % p else functionals
+    col, base = pivot
+    return [
+        [(a - f[col] * b) % p for a, b in zip(f, base)] if f[col] else f
+        for f in functionals
+    ]
 
 
 def solve_affine(

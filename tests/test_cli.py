@@ -241,6 +241,8 @@ IDENTITY_REFUSALS = [
      4, "capacity error: C(60, 8) t-subsets exceed"),
     (["access-structure", "--t", "35", "--p", "41", "--identities", "1..40"],
      4, "capacity error: the sum of C(40, r - 1) over r = "),
+    (["audit", "--t", "3", "--p", "401", "--identities", "1..80"],
+     4, "capacity error: the sum of C(80, s) over s = 0..3 subsets, times 4 cells and p = 401"),
 ]
 
 
@@ -250,6 +252,7 @@ IDENTITY_REFUSALS = [
     ids=[
         "deal-p7", "access-structure-p7", "audit-p7", "deal-p61", "access-structure-p61",
         "audit-p61", "audit-two-ranges", "access-structure-C(60,8)", "access-structure-walk",
+        "audit-cells-1..80",
     ],
 )
 def test_identity_ranges_and_access_structures_are_bounded_before_allocating(
@@ -262,6 +265,27 @@ def test_identity_ranges_and_access_structures_are_bounded_before_allocating(
     assert err.startswith(message)
     if code == 4:
         assert "100000000 enumeration guard" in err
+
+
+IDENTITY_BOUND_REFUSALS = [
+    (["enumerate", "--t", "3", "--j", "1", "--p", P61, "--N", "2000000"],
+     "capacity error: identities 1..2000000 exceed"),
+    (["table", "--t", "3", "--N", "2000000", "--p", "7," + P61],
+     "capacity error: identities 1..2000000 exceed"),
+    (["deal", "--t", "2", "--p", P61, "--identities", "1..2000000", "--seed", "1"],
+     "capacity error: 2000000 identities in '1..2000000' exceed"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", IDENTITY_BOUND_REFUSALS, ids=["enumerate-N", "table-N", "deal-range"]
+)
+def test_identity_counts_beyond_the_bound_are_refused_before_allocating(capsys, argv, message):
+    """Each passes the enumeration guard, and once held every identity in
+    memory: about 250 MB (enumerate) and 1.2 GB (deal)."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert err.startswith(message) and "1000000 identity bound" in err
 
 
 def test_recover_bounds_subset_ranges_by_the_shares_files_field(tmp_path, capsys):
@@ -492,14 +516,20 @@ def test_one_parser_serves_calls_back_to_back(capsys):
         assert call(golden["argv"]) == (0, golden["stdout"], "")
 
 
+INTS = st.integers(min_value=-(2**62), max_value=2**62)
+# lists of int rows, which the layout writes one row at a time when all
+# rows have one width (here 0-3), and the shapes beside them: ragged,
+# empty and width-1 rows, bools among the ints, rows nested a level deeper
+INT_ROWS = st.integers(0, 3).flatmap(
+    lambda width: st.lists(st.lists(INTS, min_size=width, max_size=width), min_size=1, max_size=5)
+) | st.lists(
+    st.lists(INTS | st.booleans() | st.lists(INTS, max_size=2), max_size=3), min_size=1, max_size=5
+)
 # JSON trees with every leaf kind the layout writes: bool beside int,
 # 61-bit and negative ints, strings with quotes, backslashes, control
-# characters and non-ASCII, and empty containers at any depth
+# characters and non-ASCII, empty containers and lists of rows at any depth
 JSON_TREES = st.recursive(
-    st.none()
-    | st.booleans()
-    | st.integers(min_value=-(2**62), max_value=2**62)
-    | st.text(max_size=8),
+    st.none() | st.booleans() | INTS | st.text(max_size=8) | INT_ROWS,
     lambda children: st.lists(children, max_size=6)
     | st.dictionaries(st.text(max_size=6), children, max_size=6),
     max_leaves=60,
@@ -511,6 +541,8 @@ JSON_TREES = st.recursive(
 @example([True, 1, False, 0, None, [1, True], [0, 2**61 - 1, -(2**61)]])
 @example({"": [[[{}]], [[]], {"a": {}}], '"\\\x00\x1f\u00e9\U0001f600': ["\ud800", "\n"]})
 @example([(1, 2), ((3,), ()), {"t": (True, None)}])
+@example({"h": [[0, 5], [1, -5]], "w": [[7], [8]], "e": [[], []], "r": [[1, 2], [3]]})
+@example([[[1, 0]], [[1, True]], [[1, 2], [3, [4]]], [[2**61 - 1, 1], [0, False]]])
 def test_layout_matches_json_dumps_indent_2(doc):
     assert _layout(doc) == json.dumps(doc, indent=2)
 

@@ -134,3 +134,69 @@ def test_extend_echelon_classifies_each_new_equation(p):
                     assert len(grown) == len(echelon) + 1, case
                     seen["independent"] += 1
     assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_fold_classifies_every_sequence_of_equations(p):
+    """Every sequence of augmented equations over at most 3 unknowns,
+    folded one at a time from the unit functionals, against the points
+    of F_p^n that satisfy it.
+
+    A fold's result depends only on the functionals it is given and the
+    equation, so trying every equation from every distinct (functionals,
+    solution set) state reached covers every sequence of any length.
+    Solution sets are bitmasks over the p^n points.  After each fold the
+    verdict must match the points kept (all: the same list back; none:
+    None; some: new functionals), and coordinate i must be fixed (its
+    functional 0 left of the right-hand side) exactly when every kept
+    point has one value there, at -f[-1] mod p.
+    """
+    seen = {"implied": 0, "contradictory": 0, "new": 0}
+    for n in range(1, 4):
+        points = list(itertools.product(range(p), repeat=n))
+        everything = (1 << len(points)) - 1
+        # coordinate i has value v on the points of at_value[i][v]
+        at_value = [
+            [sum(1 << k for k, x in enumerate(points) if x[i] == v) for v in range(p)]
+            for i in range(n)
+        ]
+        equations = []
+        for aug in itertools.product(range(p), repeat=n + 1):
+            mask = sum(
+                1 << k for k, x in enumerate(points)
+                if (sum(a * v for a, v in zip(aug, x)) - aug[-1]) % p == 0
+            )
+            # entries written with a multiple of p added, as callers need
+            # not reduce them
+            row = [a + p * ((a + k) % 3 - 1) for k, a in enumerate(aug)]
+            equations.append((row, mask))
+        start = ([[int(i == k) for k in range(n + 1)] for i in range(n)], everything)
+        stack = [start]
+        visited = {(str(start[0]), everything)}
+        while stack:
+            functionals, solutions = stack.pop()
+            for row, mask in equations:
+                kept = solutions & mask
+                grown = linalg.fold(functionals, row, p)
+                case = (p, functionals, row)
+                if kept == solutions:
+                    assert grown is functionals, case
+                    seen["implied"] += 1
+                    continue
+                if not kept:
+                    assert grown is None, case
+                    seen["contradictory"] += 1
+                    continue
+                assert grown is not None and grown is not functionals, case
+                seen["new"] += 1
+                for i, f in enumerate(grown):
+                    values = [v for v in range(p) if not kept & ~at_value[i][v]]
+                    if any(x % p for x in f[:-1]):
+                        assert not values, case
+                    else:
+                        assert values == [-f[-1] % p], case
+                key = (str(grown), kept)
+                if key not in visited:
+                    visited.add(key)
+                    stack.append((grown, kept))
+    assert all(seen.values()), seen
