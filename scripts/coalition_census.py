@@ -8,16 +8,56 @@ spotting the primes where below-threshold recovery stops existing.
 
     python scripts/coalition_census.py --t 7 --N 13 --max-p 200
     python scripts/coalition_census.py --t 7 --N 13 --primes 809,5231,31601
+
+Its input is checked as `privcoal table` checks it, and bad input exits
+with the CLI's codes: 2 for a parameter error (a prime list that is
+empty, not integers or not prime, or t and N invalid for some prime), 4
+for a capacity error (a walk beyond the enumeration guard, or more
+identities than the identity bound), each before any row is printed.
 """
 
 import argparse
 import sys
 
-from privcoal import CoalitionQuery, PrimeField, is_prime, minimal_privileged_coalitions
+from privcoal import (
+    CapacityError,
+    CoalitionQuery,
+    ParameterError,
+    PrimeField,
+    is_prime,
+    minimal_privileged_coalitions,
+)
+from privcoal.errors import bound_held, bound_work
 
 
 def primes_between(lo, hi):
     return [n for n in range(lo, hi + 1) if is_prime(n)]
+
+
+def parse_primes(raw):
+    primes = []
+    for token in filter(str.strip, raw.split(",")):
+        try:
+            primes.append(int(token))
+        except ValueError:
+            raise ParameterError(f"{token.strip()!r} in {raw!r} is not an integer") from None
+    if not primes:
+        raise ParameterError(f"no primes in {raw!r}")
+    return primes
+
+
+def census_queries(args):
+    """One row of queries per prime, every cell checked before any is run."""
+    primes = parse_primes(args.primes) if args.primes else primes_between(args.t, args.max_p)
+    fields = [PrimeField(p) for p in primes]
+    for field in fields:
+        CoalitionQuery(t=args.t, j=1, field=field, n_max=args.N)
+    bound_work(args.t - 2, lambda: f"t - 2 = {args.t - 2} exceeds")
+    bound_held(args.t - 2, lambda: f"the default j range 1..{args.t - 2} exceeds")
+    return [
+        [CoalitionQuery(t=args.t, j=j, field=field, n_max=args.N) for j in range(1, args.t - 1)]
+        for field in fields
+    ]
 
 
 def main(argv=None):
@@ -31,26 +71,27 @@ def main(argv=None):
                         help="also print r_min and the shortest-length count")
     args = parser.parse_args(argv)
 
-    if args.primes:
-        primes = [int(tok) for tok in args.primes.split(",") if tok.strip()]
-    else:
-        primes = primes_between(args.t, args.max_p)
+    try:
+        rows = census_queries(args)
+    except ParameterError as exc:
+        print(f"parameter error: {exc}", file=sys.stderr)
+        return 2
+    except CapacityError as exc:
+        print(f"capacity error: {exc}", file=sys.stderr)
+        return 4
 
     j_range = range(1, args.t - 1)
     header = ["p"] + [f"j={j}" for j in j_range]
     if args.shortest:
         header += [f"r_min(j={j})" for j in j_range]
     print(",".join(header))
-    for p in primes:
-        field = PrimeField(p)
+    for queries in rows:
         counts, shortest = [], []
-        for j in j_range:
-            report = minimal_privileged_coalitions(
-                CoalitionQuery(t=args.t, j=j, field=field, n_max=args.N)
-            )
+        for query in queries:
+            report = minimal_privileged_coalitions(query)
             counts.append(str(report.count))
             shortest.append("" if report.r_min is None else f"{report.r_min}/{report.n_min}")
-        row = [str(p)] + counts + (shortest if args.shortest else [])
+        row = [str(queries[0].field.p)] + counts + (shortest if args.shortest else [])
         print(",".join(row))
     return 0
 

@@ -37,8 +37,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import linalg
-from .coalition import binomial_sum
-from .errors import ENUMERATION_GUARD, CapacityError, ParameterError
+from .errors import ParameterError, binomial_sum, bound_work
 from .scheme import SchemeConfig, SecretVector, deal
 from .symfun import Track
 
@@ -52,17 +51,13 @@ def _check_capacity(cfg: SchemeConfig) -> None:
     cell writes up to p), beyond the guard, before anything is dealt."""
     t, p, n = cfg.t, cfg.field.p, len(cfg.identities)
     size = p**t
-    if size > ENUMERATION_GUARD:
-        raise CapacityError(
-            f"p^t = {p}^{t} = {size} exceeds the {ENUMERATION_GUARD} enumeration guard"
-        )
+    bound_work(size, lambda: f"p^t = {p}^{t} = {size} exceeds")
     per_subset = (t - 1) * 2 ** (t - 2)
-    if binomial_sum(n, range(t + 1)) * per_subset * p > ENUMERATION_GUARD:
-        raise CapacityError(
-            f"the sum of C({n}, s) over s = 0..{t} subsets, times {per_subset} cells "
-            f"and p = {p} histogram values each, exceeds the {ENUMERATION_GUARD} "
-            "enumeration guard"
-        )
+    bound_work(
+        binomial_sum(n, range(t + 1)) * per_subset * p,
+        lambda: f"the sum of C({n}, s) over s = 0..{t} subsets, times {per_subset} cells "
+        f"and p = {p} histogram values each, exceeds",
+    )
 
 
 def _check_domain(domain: str) -> None:

@@ -11,8 +11,10 @@ rows of ints.  The argument parser is built once per process, on the
 first call to `main`.
 
 Exit codes: 0 success, 2 parameter error, 3 authorization error,
-4 capacity error (an audit, enumeration walk or table grid beyond the
-enumeration guard, or more identities than the identity bound).
+4 capacity error: an audit, enumeration walk, access structure or
+identity list beyond the enumeration guard, or more identities or
+default table indices than the identity bound (`errors.bound_work` and
+`errors.bound_held` decide every refusal).
 """
 
 from __future__ import annotations
@@ -28,19 +30,8 @@ from json.encoder import encode_basestring_ascii as _encode_string
 
 from . import __version__
 from .audit import DOMAINS, FULL_FIELD, perfectness_report
-from .coalition import (
-    CoalitionQuery,
-    check_identities,
-    minimal_privileged_coalitions,
-    privileged_coalitions,
-)
-from .errors import (
-    ENUMERATION_GUARD,
-    IDENTITY_BOUND,
-    AuthorizationError,
-    CapacityError,
-    ParameterError,
-)
+from .coalition import CoalitionQuery, minimal_privileged_coalitions, privileged_coalitions
+from .errors import AuthorizationError, CapacityError, ParameterError, bound_held, bound_work
 from .field import PrimeField
 from .scheme import (
     SchemeConfig,
@@ -184,9 +175,9 @@ def _parse_int(token: str, raw: str) -> int:
 def _parse_identities(raw: str, p: int) -> list[int]:
     """Accepts comma-separated values and a..b ranges, e.g. '1..6' or '1,2,9'.
 
-    Range ends must be identities of F_p, and the ranges may list at most
-    ENUMERATION_GUARD, and then at most IDENTITY_BOUND, identities; all
-    are checked before any range is expanded.
+    Range ends must be identities of F_p, and the count of identities is
+    bounded by the enumeration guard, then by the identity bound; all are
+    checked before any range is expanded.
     """
     spans: list[range] = []
     for token in raw.split(","):
@@ -201,16 +192,10 @@ def _parse_identities(raw: str, p: int) -> list[int]:
             value = _parse_int(token, raw)
             spans.append(range(value, value + 1))
     count = sum(max(0, span.stop - span.start) for span in spans)
-    if count > ENUMERATION_GUARD:
-        raise CapacityError(
-            f"{count} identities in {raw!r} exceed the {ENUMERATION_GUARD} enumeration guard"
-        )
     if not count:
         raise ParameterError(f"no identities in {raw!r}")
-    if count > IDENTITY_BOUND:
-        raise CapacityError(
-            f"{count} identities in {raw!r} exceed the {IDENTITY_BOUND} identity bound"
-        )
+    bound_work(count, lambda: f"{count} identities in {raw!r} exceed")
+    bound_held(count, lambda: f"{count} identities in {raw!r} exceed")
     return [i for span in spans for i in span]
 
 
@@ -270,14 +255,12 @@ def _cmd_table(args: argparse.Namespace) -> int:
         raise ParameterError(f"no primes in {args.p!r}")
     fields = [PrimeField(p) for p in primes]
     for field in fields:
-        # checks t and N against each prime before t sizes the default j range
+        # checks t and N against each prime before t sizes the default j range;
+        # j = 1 holds every identity and walks length t - 1, as every j does
         CoalitionQuery(t=args.t, j=1, field=field, n_max=args.N)
-    if not args.j and args.t - 2 > ENUMERATION_GUARD:
-        raise CapacityError(
-            f"t - 2 = {args.t - 2} exceeds the {ENUMERATION_GUARD} enumeration guard"
-        )
-    for field in fields:
-        check_identities(min(args.N, field.p - 1))
+    if not args.j:
+        bound_work(args.t - 2, lambda: f"t - 2 = {args.t - 2} exceeds")
+        bound_held(args.t - 2, lambda: f"the default j range 1..{args.t - 2} exceeds")
     j_list = _parse_int_list(args.j) if args.j else list(range(1, args.t - 1))
     grid: dict[int, dict[int, dict]] = {}
     for p, field in zip(primes, fields):

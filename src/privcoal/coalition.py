@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ENUMERATION_GUARD, IDENTITY_BOUND, CapacityError, ParameterError
+from .errors import ParameterError, binomial_sum, bound_held, bound_work
 from .field import PrimeField
 from .symfun import Track, as_track, elem_sym_all
 
@@ -193,13 +193,24 @@ def minimal_tracks(layers: Iterable[Iterable[Track]]) -> Iterator[list[Track]]:
         shorter = set(layer)
 
 
+def check_walk(n: int, lengths: Sequence[int]) -> None:
+    """Refuse a walk over more (r-1)-prefixes of n identities than the guard."""
+    bound_work(
+        binomial_sum(n, [r - 1 for r in lengths]),
+        lambda: f"the sum of C({n}, r - 1) over r = {lengths[0]}..{lengths[-1]} exceeds",
+    )
+
+
 @dataclass(frozen=True)
 class CoalitionQuery:
     """Enumeration request: threshold t, coefficient index j, length r
     (None sweeps every valid length), the field, and the identity bound
     n_max.  Candidate identities are {1, ..., n_max}; values above p-1
     would collapse to 0 mod p and are never candidates, so the effective
-    bound is min(n_max, p-1)."""
+    bound is min(n_max, p-1).  After the parameter checks, construction
+    refuses (CapacityError) a walk over more (r-1)-prefixes than the
+    enumeration guard (`check_walk`), then more identities than the
+    identity bound, before any identity is built."""
 
     t: int
     j: int
@@ -239,6 +250,9 @@ class CoalitionQuery:
                 raise ParameterError(
                     f"r = {r} violates r <= min(N, p - 1) = {self.effective_n_max}"
                 )
+        n = self.effective_n_max
+        check_walk(n, self.lengths)
+        bound_held(n, lambda: f"identities 1..{n} exceed")
 
     @property
     def effective_n_max(self) -> int:
@@ -295,45 +309,8 @@ class CoalitionReport:
         }
 
 
-def binomial_sum(n: int, sizes: Iterable[int]) -> int:
-    """The sum of C(n, k) over the sizes, exact up to ENUMERATION_GUARD.
-
-    Each binomial grows term by term (C(n, i) rises up to i = n / 2), and
-    the count stops once it passes the guard, so a huge binomial is
-    never computed.
-    """
-    total = 0
-    for k in sizes:
-        c = int(0 <= k <= n)
-        for i in range(min(k, n - k)):
-            c = c * (n - i) // (i + 1)
-            if total + c > ENUMERATION_GUARD:
-                return total + c
-        total += c
-    return total
-
-
-def check_walk(n: int, lengths: Sequence[int]) -> None:
-    """Refuse a walk over more (r-1)-prefixes of n identities than the guard."""
-    if binomial_sum(n, [r - 1 for r in lengths]) > ENUMERATION_GUARD:
-        raise CapacityError(
-            f"the sum of C({n}, r - 1) over r = {lengths[0]}..{lengths[-1]} "
-            f"exceeds the {ENUMERATION_GUARD} enumeration guard"
-        )
-
-
-def check_identities(n: int) -> None:
-    """Refuse holding more than IDENTITY_BOUND identities 1..n."""
-    if n > IDENTITY_BOUND:
-        raise CapacityError(
-            f"identities 1..{n} exceed the {IDENTITY_BOUND} identity bound"
-        )
-
-
 def _enumerate_report(query: CoalitionQuery, minimal: bool) -> CoalitionReport:
     t, j, field, lengths = query.t, query.j, query.field, query.lengths
-    check_walk(query.effective_n_max, lengths)
-    check_identities(query.effective_n_max)
     ids = tuple(range(1, query.effective_n_max + 1))
     # a minimal sweep walks the length before the first only to filter it
     walked = range(lengths.start - minimal, lengths.stop)
@@ -349,9 +326,8 @@ def privileged_coalitions(query: CoalitionQuery) -> CoalitionReport:
     With r fixed the report lists that single length; with r = None it
     sweeps every valid length (ordered by length, then lexicographically)
     and reports the shortest populated length r_min together with the
-    number of privileged coalitions found there (N_min).  A walk over more
-    than ENUMERATION_GUARD (r-1)-prefixes, or over more than IDENTITY_BOUND
-    identities, raises CapacityError.
+    number of privileged coalitions found there (N_min).  The query's
+    construction has already bounded the walk.
     """
     return _enumerate_report(query, minimal=False)
 

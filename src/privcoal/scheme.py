@@ -19,14 +19,13 @@ from typing import Iterable, Mapping, Sequence
 
 from . import linalg
 from .coalition import (
-    binomial_sum,
     check_walk,
     extension_condition,
     minimal_tracks,
     privileged_tracks,
     valid_lengths,
 )
-from .errors import ENUMERATION_GUARD, AuthorizationError, CapacityError, ParameterError
+from .errors import AuthorizationError, ParameterError, binomial_sum, bound_work
 from .field import PrimeField
 from .symfun import Track, as_track, elem_sym_all, poly_eval, power_rows, vandermonde_det
 
@@ -150,15 +149,12 @@ def derive_access_structure(cfg: SchemeConfig) -> AccessStructure:
     coalitions of every valid length, then the t-subsets, streamed.  j = 0
     is the index with no privileged coalition (no length is valid for it),
     so its sets are all the t-subsets, tagged "threshold".  Before any
-    walk, CapacityError refuses more than ENUMERATION_GUARD t-subsets or
-    a walk over more (r-1)-prefixes than the guard (`check_walk`).
+    walk, CapacityError refuses more t-subsets than the enumeration guard,
+    or a walk over more (r-1)-prefixes than the guard (`check_walk`).
     """
     t, field, ids = cfg.t, cfg.field, cfg.identities
     n = len(ids)
-    if binomial_sum(n, [t]) > ENUMERATION_GUARD:
-        raise CapacityError(
-            f"C({n}, {t}) t-subsets exceed the {ENUMERATION_GUARD} enumeration guard"
-        )
+    bound_work(binomial_sum(n, [t]), lambda: f"C({n}, {t}) t-subsets exceed")
     for j in range(t - 1):
         check_walk(n, valid_lengths(t, j))
     per_index: list[tuple[AuthorizedSet, ...]] = []

@@ -1,5 +1,8 @@
 """Command-line surface: documents, formats, exit codes, determinism."""
 
+import contextlib
+import io
+import itertools
 import json
 import os
 import pathlib
@@ -274,15 +277,20 @@ IDENTITY_BOUND_REFUSALS = [
      "capacity error: identities 1..2000000 exceed"),
     (["deal", "--t", "2", "--p", P61, "--identities", "1..2000000", "--seed", "1"],
      "capacity error: 2000000 identities in '1..2000000' exceed"),
+    (["table", "--t", "100000000", "--N", "5", "--p", P61],
+     "capacity error: the default j range 1..99999998 exceeds"),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, message", IDENTITY_BOUND_REFUSALS, ids=["enumerate-N", "table-N", "deal-range"]
+    "argv, message",
+    IDENTITY_BOUND_REFUSALS,
+    ids=["enumerate-N", "table-N", "deal-range", "table-default-j"],
 )
 def test_identity_counts_beyond_the_bound_are_refused_before_allocating(capsys, argv, message):
-    """Each passes the enumeration guard, and once held every identity in
-    memory: about 250 MB (enumerate) and 1.2 GB (deal)."""
+    """Each passes the enumeration guard, and once held every identity (or
+    every default index j) in memory: about 250 MB (enumerate), 1.2 GB
+    (deal) and several GB (table)."""
     code, out, err = run(capsys, *argv)
     assert (code, out) == (4, "")
     assert err.startswith(message) and "1000000 identity bound" in err
@@ -581,6 +589,31 @@ def test_census_script_matches_table_command(capsys):
     assert proc.stdout == out
 
 
+CENSUS_REFUSALS = [  # (census options, table options), each once a traceback or a drift
+    (["--primes", "4"], ["--p", "4"]),
+    (["--primes", "x"], ["--p", "x"]),
+    (["--primes", ","], ["--p", ","]),
+    (["--t", "7", "--N", "2000000", "--primes", P61], ["--t", "7", "--N", "2000000", "--p", P61]),
+    (["--t", "2", "--primes", "7"], ["--t", "2", "--p", "7"]),
+]
+
+
+@pytest.mark.parametrize(
+    "census, table", CENSUS_REFUSALS, ids=["composite", "non-integer", "empty", "walk", "t=2"]
+)
+def test_census_script_refuses_as_table_does(capsys, census, table):
+    proc = run_python(str(SCRIPTS_DIR / "coalition_census.py"), "--N", "13", *census)
+    code, out, err = run(capsys, "table", "--t", "7", "--N", "13", *table)
+    assert code in (2, 4) and out == ""
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+def test_census_script_checks_t_against_its_default_primes():
+    proc = run_python(str(SCRIPTS_DIR / "coalition_census.py"), "--t", "2")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "parameter error: threshold t = 2 violates t >= 3\n"
+
+
 def test_perfectness_demo_script_runs():
     demo = str(SCRIPTS_DIR / "perfectness_demo.py")
     # t=4 p=5 leaks (acceptance criterion 8), so the demo exits 1 and
@@ -632,3 +665,138 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# The CLI grammar with extreme and malformed values.  Counts the program
+# would walk or hold (N, identity ranges) are drawn either small or at
+# extremes it refuses, and the audit stays at t <= 4 and n <= 8, so every
+# accepted argv finishes well inside the deadline.  Each value is drawn
+# from the range its option accepts three times as often as from the
+# others, so that many argvs get past the parser and the parameter checks.
+HUGE = "1" + "0" * 30
+ODD = st.sampled_from(["0", "-1", P61, HUGE, "", "x"])
+
+
+def _ints(lo, hi):
+    return st.one_of(*[st.integers(lo, hi).map(str)] * 3, ODD)
+
+
+CLI_INTS = _ints(0, 12)
+PRIMES = st.one_of(
+    *[st.sampled_from(["2", "3", "5", "7", "11", "13", P61])] * 3,
+    st.sampled_from(["4", "0", "-1", HUGE, "3317044064679887385961981", "", "x"]),
+)
+PRIME_LISTS = st.lists(PRIMES, max_size=3).map(",".join) | st.sampled_from(
+    [",", " ,7", "7,,13", "7, x", "13,abc"]
+)
+INT_LISTS = st.lists(CLI_INTS, max_size=4).map(",".join)
+
+
+def _identities(top):
+    ids = st.integers(1, top).map(str)
+    ends = st.one_of(*[ids] * 3, st.sampled_from(["0", "-1", "", "x"]))
+    return st.one_of(
+        *[st.tuples(ends, ends).map("..".join)] * 2,
+        st.lists(ends, max_size=6).map(",".join),
+        st.sampled_from(
+            ["", ",", "..", "1..", "..3", "1..x", "3..1", "1..2..3", "1..1000000000000",
+             "1..2000000", "1..60000000,1..60000000"]
+        ),
+    )
+
+
+def _argv(command, required, optional=(), flags=()):
+    """argvs naming the command, every required option, and any of the
+    optional options and flags, each option with a drawn value."""
+    pairs = [value.map(lambda v, name=name: [name, v]) for name, value in required]
+    pairs += [st.just([]) | value.map(lambda v, name=name: [name, v]) for name, value in optional]
+    pairs += [st.sampled_from([[], [flag]]) for flag in flags]
+    return st.tuples(*pairs).map(lambda parts: [command, *itertools.chain(*parts)])
+
+
+SHARES_FILES = {
+    "good": '{"p": 13, "t": 4, "participants": [%s]}'
+    % ", ".join('{"id": %d, "share": %d}' % (i, 3 * i % 13) for i in range(1, 9)),
+    "not-json": "{",
+    "missing-key": '{"p": 13, "participants": []}',
+    "bool-share": '{"p": 13, "t": 2, "participants": [{"id": 1, "share": true}]}',
+    "twice": '{"p": 13, "t": 2, "participants": [{"id": 1, "share": 1}, {"id": 1, "share": 2}]}',
+    "composite": '{"p": 15, "t": 2, "participants": [{"id": 1, "share": 1}]}',
+    "huge-t": '{"p": 13, "t": %s, "participants": [{"id": 1, "share": 1}]}' % HUGE,
+    "zero-id": '{"p": 13, "t": 2, "participants": [{"id": 13, "share": 1}]}',
+    "list": "[]",
+}
+CLI_ARGVS = st.one_of(
+    _argv(
+        "enumerate",
+        [("--t", _ints(3, 8)), ("--j", _ints(1, 6)), ("--p", PRIMES), ("--N", _ints(1, 12))],
+        [("--r", _ints(2, 7)), ("--format", st.sampled_from(["json", "csv", "text", "x"]))],
+        ["--minimal", "--descending"],
+    ),
+    _argv(
+        "table",
+        [("--t", _ints(3, 8)), ("--N", _ints(1, 12)), ("--p", PRIME_LISTS)],
+        [
+            ("--j", st.lists(_ints(1, 6), max_size=4).map(",".join)),
+            ("--format", st.sampled_from(["csv", "json", ""])),
+        ],
+        ["--per-length"],
+    ),
+    _argv(
+        "access-structure",
+        [("--t", _ints(2, 6)), ("--p", PRIMES), ("--identities", _identities(13))],
+        [("--format", st.sampled_from(["json", "text"]))],
+    ),
+    _argv(
+        "deal",
+        [("--t", _ints(2, 6)), ("--p", PRIMES), ("--identities", _identities(13))],
+        [("--seed", CLI_INTS), ("--secrets", INT_LISTS), ("--blinding", CLI_INTS)],
+    ),
+    _argv(
+        "recover",
+        [
+            ("--shares", st.just("good") | st.sampled_from([*SHARES_FILES, "absent"])),
+            ("--subset", _identities(13)),
+            ("--j", _ints(0, 3)),
+        ],
+        flags=["--explain"],
+    ),
+    _argv(
+        "audit",
+        [("--t", _ints(2, 4)), ("--p", PRIMES), ("--identities", _identities(8))],
+        [
+            ("--domain", st.sampled_from(["full-field", "all-nonzero", "rationals"])),
+            ("--seed", CLI_INTS),
+        ],
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def shares_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("shares")
+    for name, text in SHARES_FILES.items():
+        (directory / name).write_text(text)
+    return directory
+
+
+@settings(max_examples=1000, deadline=5000)
+@given(CLI_ARGVS)
+@example(["table", "--t", "100000000", "--N", "5", "--p", P61])
+@example(["enumerate", "--t", "5", "--j", "2", "--p", P61, "--N", P61])
+@example(["recover", "--shares", "good", "--subset", "1..4", "--j", "1"])
+@example(["audit", "--t", "4", "--p", "13", "--identities", "1..8"])
+def test_no_argv_ends_in_a_traceback(shares_dir, argv):
+    """Every argv exits with a documented code: 0, 2 (parameter or i/o
+    error, or an argparse usage error), 3, 4, and 1 only from an audit
+    that found violations.  No exception escapes `main`."""
+    if argv[0] == "recover":
+        argv = [str(shares_dir / v) if k == "--shares" else v for k, v in zip([""] + argv, argv)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    allowed = {0, 1, 2, 3, 4} if argv[0] == "audit" else {0, 2, 3, 4}
+    assert code in allowed, (code, err.getvalue())

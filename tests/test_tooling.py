@@ -118,3 +118,36 @@ def test_no_function_calls_itself():
         )
     ]
     assert not recursive
+
+
+def test_only_errors_holds_the_capacity_policy():
+    """Every work and memory bound is compared in errors.py: no other
+    package module names ENUMERATION_GUARD or IDENTITY_BOUND, and
+    CapacityError is named elsewhere only to import it or to catch it."""
+    bounds = {"ENUMERATION_GUARD", "IDENTITY_BOUND"}
+    errors = ast.parse((PACKAGE_DIR / "errors.py").read_text())
+    assert bounds <= {n.id for n in ast.walk(errors) if isinstance(n, ast.Name)}
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        caught = {
+            id(name)
+            for handler in ast.walk(tree)
+            if isinstance(handler, ast.ExceptHandler) and handler.type is not None
+            for name in ast.walk(handler.type)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.alias):
+                name = node.name
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            uncaught = not isinstance(node, ast.alias) and id(node) not in caught
+            if name in bounds or (name == "CapacityError" and uncaught):
+                found.append(f"{path.name}:{node.lineno}:{name}")
+    assert not found
