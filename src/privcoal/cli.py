@@ -14,7 +14,8 @@ Exit codes: 0 success, 2 parameter error, 3 authorization error,
 4 capacity error: an audit, enumeration walk, access structure or
 identity list beyond the enumeration guard, or more identities or
 default table indices than the identity bound (`errors.bound_work` and
-`errors.bound_held` decide every refusal).
+`errors.bound_held` decide every refusal).  `run` maps each error to its
+code, for `main` and for scripts that front it.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import os
 import sys
 import tempfile
 from json.encoder import encode_basestring_ascii as _encode_string
+from typing import Callable
 
 from . import __version__
 from .audit import DOMAINS, FULL_FIELD, perfectness_report
@@ -411,10 +413,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     if missing:
         raise ParameterError(f"identities {missing} not present in the shares file")
     pairs = [(i, shares[i]) for i in subset]
-    value = recover(pairs, args.j, cfg)
-    if args.explain:
-        print(f"route: full solve with identities {subset[: cfg.t]}", file=sys.stderr)
-    print(value)
+    print(recover(pairs, args.j, cfg))
     return EXIT_OK
 
 
@@ -499,7 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--shares", required=True, help="shares JSON file")
     rec.add_argument("--subset", required=True, help="identities, e.g. 1,2,4")
     rec.add_argument("--j", type=int, required=True, help="secret index")
-    rec.add_argument("--explain", action="store_true", help="describe the route used")
     rec.set_defaults(func=_cmd_recover)
 
     audit_p = sub.add_parser("audit", help="exhaustive perfectness audit")
@@ -514,11 +512,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+def run(command: Callable[[], int]) -> int:
+    """Return `command()`, or write the package or i/o error it raises to
+    stderr and return that error's exit code."""
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        return command()
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER
@@ -531,6 +529,11 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    return run(lambda: args.func(args))
 
 
 def app() -> None:

@@ -364,11 +364,6 @@ def test_deal_recover_cycle(tmp_path, capsys):
 
     code, out, _ = run(capsys, "recover", "--shares", str(shares), "--subset", "1,2,4", "--j", "2")
     assert code == 0 and out.strip() == "3"
-    code, out, err = run(
-        capsys, "recover", "--shares", str(shares), "--subset", "1,2,4", "--j", "2",
-        "--explain",
-    )
-    assert "route: full solve with identities [1, 2, 4]" in err and out.strip() == "3"
     code, out, _ = run(capsys, "recover", "--shares", str(shares), "--subset", "1..6", "--j", "0")
     assert code == 0 and out.strip() == "1"
     code, _, err = run(capsys, "recover", "--shares", str(shares), "--subset", "1,2", "--j", "2")
@@ -579,14 +574,24 @@ def test_module_entry_point_runs_the_cli(capsys):
 SCRIPTS_DIR = TESTS_DIR.parent / "scripts"
 
 
+def _primes(lo, hi):
+    return ",".join(str(n) for n in range(max(lo, 2), hi + 1) if all(n % d for d in range(2, n)))
+
+
+CENSUS_GRIDS = [  # (census options, the t, N and primes of the same table)
+    (["--t", "5", "--N", "8", "--primes", "11,13"], "5", "8", "11,13"),
+    ([], "7", "13", _primes(7, 199)),
+    (["--t", "6", "--N", "10", "--max-p", "60"], "6", "10", _primes(6, 60)),
+]
+
+
 def test_census_script_matches_table_command(capsys):
-    proc = run_python(
-        str(SCRIPTS_DIR / "coalition_census.py"), "--t", "5", "--N", "8", "--primes", "11,13"
-    )
-    code, out, _ = run(capsys, "table", "--t", "5", "--N", "8", "--p", "11,13")
-    assert (proc.returncode, proc.stderr) == (0, "")
-    assert code == 0 and out.count("\n") == 3
-    assert proc.stdout == out
+    for census, t, n, primes in CENSUS_GRIDS:
+        proc = run_python(str(SCRIPTS_DIR / "coalition_census.py"), *census)
+        code, out, _ = run(capsys, "table", "--t", t, "--N", n, "--p", primes)
+        assert (proc.returncode, proc.stderr) == (0, ""), census
+        assert code == 0 and out.count("\n") == 2 + primes.count(","), census
+        assert proc.stdout == out, census
 
 
 CENSUS_REFUSALS = [  # (census options, table options), each once a traceback or a drift
@@ -609,9 +614,29 @@ def test_census_script_refuses_as_table_does(capsys, census, table):
 
 
 def test_census_script_checks_t_against_its_default_primes():
-    proc = run_python(str(SCRIPTS_DIR / "coalition_census.py"), "--t", "2")
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == "parameter error: threshold t = 2 violates t >= 3\n"
+    """The default scan of t..max-p is bounded before any integer is
+    tested, and a scan that finds no prime is a parameter error."""
+    for census, code, message in [
+        (["--t", "2"], 2, "parameter error: threshold t = 2 violates t >= 3"),
+        (["--t", "7", "--max-p", "5"], 2, "parameter error: no primes between 7 and 5"),
+        (["--t", "100000000"], 2, "parameter error: no primes between 100000000 and 199"),
+        (
+            ["--t", "7", "--N", "4", "--max-p", "100000000"],
+            4,
+            "capacity error: the prime scan 7..100000000 of 99999994 integers exceeds "
+            "the 1000000 identity bound",
+        ),
+    ]:
+        proc = run_python(str(SCRIPTS_DIR / "coalition_census.py"), *census)
+        assert (proc.returncode, proc.stdout) == (code, ""), census
+        assert proc.stderr == message + "\n", census
+
+
+@pytest.mark.parametrize("script", sorted(SCRIPTS_DIR.glob("*.py")), ids=lambda path: path.name)
+def test_every_script_prints_its_help(script):
+    proc = run_python(str(script), "--help")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: ")
 
 
 def test_perfectness_demo_script_runs():
@@ -759,7 +784,6 @@ CLI_ARGVS = st.one_of(
             ("--subset", _identities(13)),
             ("--j", _ints(0, 3)),
         ],
-        flags=["--explain"],
     ),
     _argv(
         "audit",
