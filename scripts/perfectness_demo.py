@@ -23,14 +23,7 @@ import argparse
 import sys
 from collections import Counter
 
-from privcoal import (
-    FULL_FIELD,
-    CapacityError,
-    ParameterError,
-    PrimeField,
-    SchemeConfig,
-    perfectness_report,
-)
+from privcoal import FULL_FIELD, PrimeField, SchemeConfig, cli, perfectness_report
 
 
 def main(argv=None):
@@ -41,19 +34,12 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--max-examples", type=int, default=8)
     args = parser.parse_args(argv)
+    return cli.run(lambda: summarize(args))
 
-    try:
-        cfg = SchemeConfig(
-            t=args.t, field=PrimeField(args.p), identities=range(1, args.n + 1)
-        )
-        report = perfectness_report(cfg, domain=FULL_FIELD, seed=args.seed)
-    except ParameterError as exc:
-        print(f"parameter error: {exc}", file=sys.stderr)
-        return 2
-    except CapacityError as exc:
-        print(f"capacity error: {exc}", file=sys.stderr)
-        return 4
 
+def summarize(args):
+    cfg = SchemeConfig(t=args.t, field=PrimeField(args.p), identities=range(1, args.n + 1))
+    report = perfectness_report(cfg, domain=FULL_FIELD, seed=args.seed)
     verdicts = Counter(cell.verdict for cell in report.cells)
     print(f"instance: t={args.t} p={args.p} identities=1..{args.n} seed={args.seed}")
     print(f"cells checked: {len(report.cells)}  verdicts: {dict(verdicts)}")

@@ -40,7 +40,6 @@ from .symfun import (
     as_track,
     elem_sym_all,
     poly_eval,
-    vandermonde_det,
 )
 
 __all__ = [
@@ -75,5 +74,4 @@ __all__ = [
     "recover",
     "recover_privileged",
     "valid_lengths",
-    "vandermonde_det",
 ]

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from . import linalg
 from .errors import ParameterError, binomial_sum, bound_work
 from .scheme import SchemeConfig, SecretVector, deal
-from .symfun import Track
+from .symfun import Track, power_rows
 
 FULL_FIELD = "full-field"  # secrets range over F_p, blinding nonzero
 ALL_NONZERO = "all-nonzero"  # every coefficient nonzero
@@ -228,7 +228,8 @@ def perfectness_report(
     violations: list[AuditCell] = []
     notes: list[str] = []
     zeros = (t - 1,) if domain == FULL_FIELD else tuple(range(t))
-    share_rows = {i: [pow(i, k, p) for k in range(t)] + [y] for i, y in table.entries}
+    rows = power_rows([i for i, _ in table.entries], t, field)
+    share_rows = {i: row + [y] for row, (i, y) in zip(rows, table.entries)}
     # every known-set, () first and each after its prefix, and one
     # subset's cells in report order
     known_sets = [

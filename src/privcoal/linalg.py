@@ -3,12 +3,12 @@
 The one elimination kernel of the package, in two forms that share the
 pivot-and-scale step (`_pivot`).  `extend_echelon` folds an equation
 into an echelon and says whether it is new, implied or contradictory,
-and `solve_affine` is its back substitution: recovery from shares goes
-through it.  `fold` folds an equation into the coordinate functionals
-of an affine space instead, so every coordinate's value, when fixed,
-can be read off without a back substitution: the audit's solution
-spaces go through it.  Matrices are lists of rows of integers; nothing
-here mutates its inputs.
+and `solve_affine` is its back substitution: recovery from t or more
+shares goes through it.  `fold` folds an equation into the coordinate
+functionals of an affine space instead, so every coordinate's value,
+when fixed, can be read off without a back substitution: the audit's
+solution spaces go through it.  Matrices are lists of rows of
+integers; nothing here mutates its inputs.
 """
 
 from __future__ import annotations
@@ -100,14 +100,12 @@ def fold(functionals: Functionals, row: list[int], p: int) -> Functionals | None
 
 def solve_affine(
     rows: list[list[int]], rhs: list[int], p: int, ncols: int
-) -> tuple[list[int], list[list[int]]] | None:
+) -> list[int] | None:
     """Solve rows @ x = rhs over F_p.
 
-    Returns (particular solution, kernel basis), or None when the system
-    is inconsistent.  The particular solution is 0 at every free column,
-    and the basis holds one vector per free column, in ascending order,
-    1 there and 0 at the other free columns.  With no constraints the
-    solution space is all of F_p^ncols.
+    Returns one solution, 0 at every free column, or None when the
+    system is inconsistent.  With no constraints that is the zero
+    vector of F_p^ncols.
 
     The rows are folded into an echelon and read back last-first: each
     echelon row is 0 left of its pivot and at the pivots of the rows
@@ -123,13 +121,4 @@ def solve_affine(
     particular = [0] * ncols
     for col, row in reversed(echelon):
         particular[col] = (row[-1] - sum(map(mul, row, particular))) % p
-    pivots = {col for col, _ in echelon}
-    basis = []
-    for f in range(ncols):
-        if f not in pivots:
-            vec = [0] * ncols
-            vec[f] = 1
-            for col, row in reversed(echelon):
-                vec[col] = -sum(map(mul, row, vec)) % p
-            basis.append(vec)
-    return particular, basis
+    return particular

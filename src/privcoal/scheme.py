@@ -3,11 +3,11 @@
 The dealer hides t-1 secrets s_0..s_{t-2} as the low coefficients of a
 degree-(t-1) polynomial whose top coefficient is a nonzero blinding
 value, and hands participant i the evaluation at its public identity.
-Any t participants recover the whole coefficient vector, and a
-privileged coalition of r < t its own coefficient: `recover` reads both
-off the kernel of one solve.  The paper's cofactor expansion, whose
-terms needing the missing t-r shares provably vanish, is kept as
-`recover_privileged`; `recover` does not call it.
+Any t participants recover the whole coefficient vector by one t x t
+solve, and a privileged coalition of r < t its own coefficient by the
+paper's cofactor expansion (`recover_privileged`), whose terms needing
+the missing t-r shares provably vanish.  `recover` sends fewer than t
+shares to the formula and t or more to the solve.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .coalition import (
 )
 from .errors import AuthorizationError, ParameterError, binomial_sum, bound_work
 from .field import PrimeField
-from .symfun import Track, as_track, elem_sym_all, poly_eval, power_rows, vandermonde_det
+from .symfun import Track, as_track, elem_sym_all, poly_eval, power_rows
 
 SharePairs = Sequence[tuple[int, int]]
 
@@ -212,16 +212,18 @@ def recover_privileged(
     """Recover a_j from r < t privileged shares by the paper's cofactor formula.
 
     Extends the coalition by a disjoint track u (the smallest free
-    residues unless one is supplied), then evaluates the cofactor
-    expansion of the Cramer determinant for column j along that column.
-    The cofactors of the rows belonging to u carry a factor
-    tau_{t-1-j}(coalition + u-minus-one), which vanishes for a privileged
-    coalition, so only the coalition's own shares enter the sum.  The
-    result is identical for every admissible u.  `recover` never calls this.
+    residues unless one is supplied) to t nodes, whose Cramer solve
+    gives a_j as the cofactor expansion along column j over the
+    Vandermonde determinant.  Each ratio is the z^j coefficient of a
+    Lagrange basis polynomial: the share at node x has weight
+    (-1)^b tau_b(nodes - x) / prod_{m != x} (x - m), b = t-1-j.  The
+    weight of a node of u is tau_b(coalition + u-minus-one), which
+    vanishes for a privileged coalition (the extension condition), so
+    only the coalition's own shares enter the sum: a_j is a fixed linear
+    functional of them, identical for every admissible u.
     """
     pairs = _normalize_pairs(shares)
     track = as_track([i for i, _ in pairs], field)
-    ys = [y % field.p for _, y in pairs]
     r = len(track)
     if r >= t:
         raise ParameterError(f"coalition recovery needs fewer than t = {t} shares")
@@ -232,24 +234,31 @@ def recover_privileged(
         )
     p = field.p
     b = t - 1 - j
+    nodes = track + ext
+    taus = elem_sym_all(nodes, field)
     total = 0
-    for k in range(r):
-        seq = track[:k] + track[k + 1 :] + ext
-        minor = vandermonde_det(seq, field) * elem_sym_all(seq, field)[b] % p
-        if (k + j) % 2:
-            minor = -minor
-        total = (total + minor * ys[k]) % p
-    return total * pow(vandermonde_det(track + ext, field), -1, p) % p
+    for x, (_, y) in zip(track, pairs):
+        # tau_b(nodes - x): prod(z + v) divided by z + x, synthetically
+        c = 1
+        for w in range(1, b + 1):
+            c = (taus[w] - x * c) % p
+        d = 1
+        for m in nodes:
+            if m != x:
+                d = d * (x - m) % p
+        total += y * c * pow(d, -1, p)
+    return (-total if b % 2 else total) % p
 
 
 def recover(shares: SharePairs | Mapping[int, int], j: int, cfg: SchemeConfig) -> int:
     """Recover secret s_j from any authorized subset of shares.
 
-    One route for every subset size: linalg.solve_affine on the power
-    rows of the first min(t, n) identities, which are independent.  a_j
-    is determined exactly when every kernel vector is 0 at j
-    (AuthorizationError otherwise); shares past the t-th must lie on the
-    polynomial the first t give (ParameterError otherwise).
+    Fewer than t shares go to `recover_privileged`, whose extension
+    condition decides authorization (AuthorizationError otherwise).
+    From t shares on, linalg.solve_affine on the power rows of the first
+    t identities, which are independent, gives the whole coefficient
+    vector, and shares past the t-th must lie on its polynomial
+    (ParameterError otherwise).
     """
     pairs = _normalize_pairs(shares)
     known = set(cfg.identities)
@@ -261,12 +270,11 @@ def recover(shares: SharePairs | Mapping[int, int], j: int, cfg: SchemeConfig) -
         raise ParameterError(f"coefficient index {j} outside [0, {t - 1}]")
     if not pairs:
         raise ParameterError("a track must contain at least one identity")
+    if len(pairs) < t:
+        return recover_privileged(pairs, t, j, field)
     p = field.p
-    ids = tuple(i for i, _ in pairs)
-    rows = power_rows(ids[:t], t, field)
-    coeffs, kernel = linalg.solve_affine(rows, [y for _, y in pairs[:t]], p, t)
-    if any(v[j] for v in kernel):
-        raise AuthorizationError(f"subset {ids} is not authorized for secret index {j}")
+    rows = power_rows([i for i, _ in pairs[:t]], t, field)
+    coeffs = linalg.solve_affine(rows, [y for _, y in pairs[:t]], p, t)
     for i, y in pairs[t:]:
         if poly_eval(coeffs, i, field) != y % p:
             raise ParameterError(

@@ -1,11 +1,11 @@
-"""Elementary symmetric polynomials, polynomial evaluation, Vandermonde determinants.
+"""Elementary symmetric polynomials, polynomial evaluation, power rows.
 
 A *track* is the canonical identity sequence used everywhere in the
 package: strictly increasing, pairwise distinct, nonzero residues.  The
 symmetric-function ladder tau_0..tau_r of a track (`elem_sym_all`, read
 by index) drives the extension condition and the paper's coalition
-recovery formula, the power rows every linear system over the shares,
-and the Vandermonde determinants that formula's cofactors.
+recovery formula, and the power rows (`power_rows`) every linear system
+over the shares: the t x t solve and the audit's folds.
 """
 
 from __future__ import annotations
@@ -69,19 +69,4 @@ def power_rows(values: Iterable[int], t: int, field: PrimeField) -> list[list[in
             row[k] = row[k - 1] * v % p
         rows.append(row)
     return rows
-
-
-def vandermonde_det(values: Sequence[int], field: PrimeField) -> int:
-    """prod_{i<j} (values[j] - values[i]) mod p.
-
-    The sign depends on the sequence order; zero exactly when the sequence
-    has a repeated entry (impossible for a valid Track).
-    """
-    p = field.p
-    out = 1
-    for i in range(len(values)):
-        vi = values[i]
-        for j in range(i + 1, len(values)):
-            out = out * (values[j] - vi) % p
-    return out
 

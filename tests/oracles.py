@@ -31,33 +31,6 @@ def eval_poly_int(coeffs, x, p):
     return sum(c * x**k for k, c in enumerate(coeffs)) % p
 
 
-def det_gauss(rows, p):
-    """Textbook Gaussian-elimination determinant mod p."""
-    n = len(rows)
-    m = [[x % p for x in row] for row in rows]
-    sign = 1
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        inv = pow(m[col][col], -1, p)
-        for i in range(col + 1, n):
-            if m[i][col]:
-                f = m[i][col] * inv % p
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[col])]
-    out = sign
-    for i in range(n):
-        out = out * m[i][i] % p
-    return out % p
-
-
 def matrix_rank(rows, p):
     m = [[x % p for x in row] for row in rows]
     ncols = len(m[0]) if m else 0

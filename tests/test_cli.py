@@ -1,6 +1,7 @@
 """Command-line surface: documents, formats, exit codes, determinism."""
 
 import contextlib
+import importlib.util
 import io
 import itertools
 import json
@@ -653,6 +654,22 @@ def test_perfectness_demo_script_runs():
     proc = run_python(demo, "--t", "4", "--p", "5", "--n", "5")
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "parameter error: identity 5 outside [1, 4]\n"
+
+
+def test_domain_argvs_keep_their_output_digests():
+    """Every argv of tests/goldens_domain.json (the explore and audit
+    benchmark domains and the refusal tables above) still gives the exit
+    code, stdout and stderr it gave when the file was written by
+    scripts/domain_goldens.py."""
+    spec = importlib.util.spec_from_file_location(
+        "domain_goldens", SCRIPTS_DIR / "domain_goldens.py"
+    )
+    goldens = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(goldens)
+    rows = goldens.load()
+    assert len(rows) == 375
+    moved = [" ".join(argv) for argv, value in rows if goldens.digest(argv) != value]
+    assert not moved, moved
 
 
 def test_output_files_written_atomically(tmp_path, capsys):

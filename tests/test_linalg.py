@@ -70,25 +70,10 @@ def test_solve_affine_matches_brute_force(p):
                 assert solved is None, case
                 seen["inconsistent"] += 1
                 continue
-            assert solved is not None, case
-            particular, basis = solved
-            got = {
-                tuple(
-                    (x + sum(c * v[i] for c, v in zip(coefs, basis))) % p
-                    for i, x in enumerate(particular)
-                )
-                for coefs in itertools.product(range(p), repeat=len(basis))
-            }
-            assert got == expected, case
-            assert len(got) == p ** len(basis), case
-            # the normal form: 0 at every free column for the particular
-            # solution, one basis vector per free column in ascending order
-            free = free_columns(expected, ncols)
-            assert len(free) == len(basis), case
-            assert all(particular[f] == 0 for f in free), case
-            for f, vec in zip(free, basis):
-                assert [vec[g] for g in free] == [int(g == f) for g in free], case
-            seen["kernel" if basis else "unique"] += 1
+            assert tuple(solved) in expected, case
+            # the normal form: 0 at every free column
+            assert all(solved[f] == 0 for f in free_columns(expected, ncols)), case
+            seen["kernel" if len(expected) > 1 else "unique"] += 1
     assert all(seen.values()), seen
 
 

@@ -1,5 +1,6 @@
-"""Dealing, access structures, and recovery: `recover`'s one route, and
-the paper's cofactor formula `recover_privileged` checked against it."""
+"""Dealing, access structures, and recovery: `recover`'s two routes (the
+paper's cofactor formula `recover_privileged` below t, one t x t solve
+from t on), each checked against an oracle that shares no code with it."""
 
 import itertools
 import random
@@ -259,42 +260,71 @@ def test_privileged_sets_at_t7_p13_determine_their_coefficient():
         assert determines_coefficient(members, 7, j, 13), (members, j)
 
 
-@pytest.mark.parametrize("t, p, n", [(5, 7, 6), (7, 13, 12)])
+def _coset(rng, r, p):
+    """a, a z, ..., a z^(r-1) for a random a and a z of order r in F_p^*.
+
+    Their product polynomial is x^r - a^r, so tau_1..tau_{r-1} vanish and
+    the coset is (t, j)-privileged for every j that length r allows."""
+    while True:
+        z = pow(rng.randrange(2, p), (p - 1) // r, p)
+        if all(pow(z, k, p) != 1 for k in range(1, r)):
+            a = rng.randrange(1, p)
+            return {a * pow(z, k, p) % p for k in range(r)}
+
+
+def _identities(t, p, n):
+    """Every identity of F_p when n = p - 1.  Otherwise random cosets of
+    orders t-2 and t-1, so minimal privileged sets and their supersets
+    below t occur, filled up to n with random identities."""
+    if n == p - 1:
+        return range(1, p)
+    rng = random.Random(p)
+    ids = _coset(rng, t - 2, p) | _coset(rng, t - 1, p)
+    while len(ids) < n:
+        ids.add(rng.randrange(1, p))
+    return sorted(ids)
+
+
+@pytest.mark.parametrize(
+    "t, p, n",
+    [(5, 7, 6), (7, 13, 12), (5, 65521, 8), (7, 2**61 - 1, 12)],
+    ids=["5-7-6", "7-13-12", "random-65521", "random-2^61-1"],
+)
 def test_cofactor_formula_agrees_with_recover(t, p, n):
-    """On every minimal privileged set, recover_privileged, recover and
-    the dealt secret agree; on every (t-1)-subset that does not determine
-    a_j, both routes refuse with the same message."""
+    """Recovery below t, by recover and by recover_privileged, against the
+    from-scratch rank oracle: on every subset of 1..t-1 identities and
+    every index j in 0..t-1, a subset the oracle accepts gives the dealt
+    coefficient of every secret vector tried, and any other is refused
+    by both with the same message."""
     field = PrimeField(p)
-    cfg = SchemeConfig(t=t, field=field, identities=range(1, n + 1))
-    structure = derive_access_structure(cfg)
-    privileged = [
-        (a.members, j)
-        for j in range(1, t - 1)
-        for a in structure.minimal_sets(j)
-        if a.kind == "privileged"
+    cfg = SchemeConfig(t=t, field=field, identities=_identities(t, p, n))
+    tables = [
+        (sv.coefficients, deal(cfg, sv))
+        for sv in (SecretVector.random(field, t, seed) for seed in range(3))
     ]
-    assert privileged
-    for seed in range(20):
-        sv = SecretVector.random(field, t, seed)
-        table = deal(cfg, sv)
-        for members, j in privileged:
-            pairs = table.subset(members)
-            assert recover_privileged(pairs, t, j, field) == sv.coefficients[j], (members, j)
-            assert recover(pairs, j, cfg) == sv.coefficients[j], (members, j)
-    table = deal(cfg, SecretVector.random(field, t, 0))
+    accepted = []
     refused = 0
-    for members in itertools.combinations(range(1, n + 1), t - 1):
-        for j in range(1, t - 1):
-            if determines_coefficient(members, t, j, p):
-                continue
-            pairs = table.subset(members)
-            with pytest.raises(AuthorizationError) as formula:
-                recover_privileged(pairs, t, j, field)
-            with pytest.raises(AuthorizationError) as kernel:
-                recover(pairs, j, cfg)
-            assert str(formula.value) == str(kernel.value)
-            refused += 1
+    for size in range(1, t):
+        for members in itertools.combinations(cfg.identities, size):
+            for j in range(t):
+                if determines_coefficient(members, t, j, p):
+                    accepted.append(members)
+                    for coefficients, table in tables:
+                        pairs = table.subset(members)
+                        assert recover(pairs, j, cfg) == coefficients[j], (members, j)
+                        assert recover_privileged(pairs, t, j, field) == coefficients[j]
+                    continue
+                pairs = tables[0][1].subset(members)
+                with pytest.raises(AuthorizationError) as formula:
+                    recover_privileged(pairs, t, j, field)
+                with pytest.raises(AuthorizationError) as routed:
+                    recover(pairs, j, cfg)
+                message = f"subset {members} is not authorized for secret index {j}"
+                assert str(formula.value) == str(routed.value) == message
+                refused += 1
     assert refused
+    assert min(map(len, accepted)) <= t - 2
+    assert any(len(a) == t - 1 and any(set(b) < set(a) for b in accepted) for a in accepted)
 
 
 def test_recover_dispatch():

@@ -1,10 +1,10 @@
-"""Symmetric functions, polynomial evaluation, Vandermonde determinants."""
+"""Symmetric functions, polynomial evaluation, power rows."""
 
 import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from privcoal import (
     ParameterError,
@@ -12,10 +12,9 @@ from privcoal import (
     as_track,
     elem_sym_all,
     poly_eval,
-    vandermonde_det,
 )
 
-from oracles import det_gauss, elem_sym_subsets, eval_poly_int
+from oracles import elem_sym_subsets, eval_poly_int
 
 
 def test_as_track_canonicalizes():
@@ -110,36 +109,3 @@ def test_poly_eval_matches_integer_oracle(coeffs, x):
     f = PrimeField(13)
     assert poly_eval(coeffs, x, f) == eval_poly_int(coeffs, x, 13)
 
-
-def test_vandermonde_examples():
-    f7 = PrimeField(7)
-    assert vandermonde_det((1, 2, 3), f7) == 2
-    assert vandermonde_det((4,), f7) == 1
-    f31 = PrimeField(31)
-    track = (1, 3, 5, 8, 9)
-    power_matrix = [[pow(x, v, 31) for v in range(5)] for x in track]
-    assert vandermonde_det(track, f31) == det_gauss(power_matrix, 31)
-
-
-def test_vandermonde_matches_power_matrix_exhaustive():
-    for p in (5, 7, 11, 13):
-        f = PrimeField(p)
-        for r in range(1, 6):
-            for track in itertools.combinations(range(1, p), r):
-                power_matrix = [[pow(x, v, p) for v in range(r)] for x in track]
-                assert vandermonde_det(track, f) == det_gauss(power_matrix, p)
-
-
-@settings(max_examples=150)
-@given(
-    st.sampled_from([17, 19, 23, 29, 31]),
-    st.sets(st.integers(min_value=1, max_value=30), min_size=1, max_size=5),
-)
-def test_vandermonde_matches_power_matrix_larger_fields(p, values):
-    values = {v for v in values if v < p}
-    if not values:
-        values = {1}
-    f = PrimeField(p)
-    track = tuple(sorted(values))
-    power_matrix = [[pow(x, v, p) for v in range(len(track))] for x in track]
-    assert vandermonde_det(track, f) == det_gauss(power_matrix, p)
