@@ -6,8 +6,9 @@ parameters) so results are reproducible from the output alone; output
 files are written atomically (temp file + rename).
 
 JSON documents are written by `_layout`: the bytes of
-json.dumps(doc, indent=2), built from C-encoded leaves and %-formatted
-rows of ints.  The argument parser is built once per process, on the
+json.dumps(doc, indent=2), built from C-encoded leaves, %-formatted
+rows of ints and %-formatted lists of flat records filled column by
+column.  The argument parser is built once per process, on the
 first call to `main`.
 
 Exit codes: 0 success, 2 parameter error, 3 authorization error,
@@ -50,7 +51,10 @@ EXIT_AUTHORIZATION = 3
 EXIT_CAPACITY = 4
 
 _INT = {int}  # the item types of a list written with one join; bool is not int
+_STR = {str}
+_SCALAR = {int, str, bool, type(None)}  # the value types `_records` writes through `_leaf`
 _LIST = {list}  # the item types of a list that `_int_rows` may write
+_DICT = {dict}  # the item types of a list that `_records` may write
 
 
 def _manifest(
@@ -73,9 +77,9 @@ def _manifest(
 
 
 def _leaf(value: object, pad: str) -> str | None:
-    """The JSON text of a scalar, an empty container, a list of ints or
-    a list of int rows (`_int_rows`) whose items start at `pad`; None for
-    any other container."""
+    """The JSON text of a scalar, an empty container, a list of ints, a
+    list of int rows (`_int_rows`) or a list of flat records (`_records`)
+    whose items start at `pad`; None for any other container."""
     if isinstance(value, str):
         return _encode_string(value)
     if isinstance(value, (dict, list, tuple)):
@@ -86,7 +90,9 @@ def _leaf(value: object, pad: str) -> str | None:
         types = {*map(type, value)}
         if types == _INT:
             return "[" + pad + ("," + pad).join(map(int.__repr__, value)) + pad[:-2] + "]"
-        return _int_rows(value, pad) if types == _LIST else None
+        if types == _LIST:
+            return _int_rows(value, pad)
+        return _records(value, pad) if types == _DICT else None
     if value is None:
         return "null"
     if value is True:
@@ -110,14 +116,51 @@ def _int_rows(rows: list | tuple, pad: str) -> str | None:
     return "[" + pad + ("," + pad).join(map(row.__mod__, map(tuple, rows))) + pad[:-2] + "]"
 
 
+def _records(records: list | tuple, pad: str) -> str | None:
+    """The JSON text of dicts of scalars, int lists and int rows that
+    share one non-empty key order, whose items start at `pad`: one %
+    template with the keys C-encoded, filled column by column; None for
+    any other list of dicts, which `_layout` descends."""
+    keys = tuple(records[0])
+    if not keys or {*map(tuple, records)} != {keys}:
+        return None
+    inner = pad + "  "
+    deeper = inner + "  "
+    columns = []
+    for column in zip(*map(dict.values, records)):
+        types = {*map(type, column)}
+        if types == _INT:
+            texts = map(int.__repr__, column)
+        elif types == _STR:
+            texts = map(_encode_string, column)
+        elif types <= _SCALAR:
+            texts = [_leaf(v, deeper) for v in column]
+        elif types != _LIST:
+            return None
+        elif (items := {*map(type, itertools.chain.from_iterable(column))}) <= _INT:
+            start, sep, end = "[" + deeper, "," + deeper, deeper[:-2] + "]"
+            texts = [start + sep.join(map(int.__repr__, v)) + end if v else "[]" for v in column]
+        elif items != _LIST:
+            return None
+        else:
+            texts = [_int_rows(v, deeper) if v else "[]" for v in column]
+            if None in texts:
+                return None
+        columns.append(texts)
+    fields = (_encode_string(k).replace("%", "%%") + ": %s" for k in keys)
+    record = "{" + inner + ("," + inner).join(fields) + pad + "}"
+    return "[" + pad + ("," + pad).join(map(record.__mod__, zip(*columns))) + pad[:-2] + "]"
+
+
 def _layout(doc: object) -> str:
     """The text of json.dumps(doc, indent=2), byte for byte.
 
     json.dumps lays out an indented document in pure Python.  Here every
-    leaf comes from the C encoder (`_leaf`), and a container whose items
-    are all leaves is written with one join; only deeper containers are
-    descended, through an explicit stack of (items, closing text) pairs,
-    so nesting depth is not bounded by recursion.
+    leaf comes from the C encoder (`_leaf`), a list of flat records is one
+    leaf written through one template (`_records`), and a container whose
+    items are all leaves is written with one join; only deeper containers
+    are descended, through an explicit stack of (items, closing text)
+    pairs, so nesting depth is not bounded by recursion.
     """
     out: list[str] = []
     stack = [(iter((("", doc, _leaf(doc, "\n  ")),)), "")]

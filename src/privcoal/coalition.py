@@ -182,14 +182,13 @@ def minimal_tracks(layers: Iterable[Iterable[Track]]) -> Iterator[list[Track]]:
     Layers hold tracks of successive lengths over the same identities, each
     privileged layer complete.  Privilege is monotone under supersets, so a
     track containing a shorter privileged track contains one of length
-    len(track) - 1, and dropping one element at a time finds it.  A one-pass
-    last layer (the t-subsets) is streamed, never collected into `shorter`.
+    len(track) - 1.  Those one-element drops are combinations(c, len(c) - 1),
+    tested with one `isdisjoint`.  A one-pass last layer (the t-subsets) is
+    streamed, never collected into `shorter`.
     """
     shorter: set[Track] = set()
     for layer in layers:
-        yield [
-            c for c in layer if not any(c[:k] + c[k + 1 :] in shorter for k in range(len(c)))
-        ]
+        yield [c for c in layer if shorter.isdisjoint(itertools.combinations(c, len(c) - 1))]
         shorter = set(layer)
 
 

@@ -1,6 +1,7 @@
 """Command-line surface: documents, formats, exit codes, determinism."""
 
 import contextlib
+import functools
 import importlib.util
 import io
 import itertools
@@ -15,7 +16,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import privcoal
+from privcoal.audit import perfectness_report
 from privcoal.cli import _layout, build_parser, main
+from privcoal.field import PrimeField
+from privcoal.scheme import SchemeConfig, derive_access_structure
 
 TESTS_DIR = pathlib.Path(__file__).parent
 
@@ -529,15 +533,52 @@ INT_ROWS = st.integers(0, 3).flatmap(
 ) | st.lists(
     st.lists(INTS | st.booleans() | st.lists(INTS, max_size=2), max_size=3), min_size=1, max_size=5
 )
+# record keys with the characters a % template or the C encoder must
+# escape, and the empty key
+RECORD_KEYS = st.text(st.sampled_from('%"\\\u00e9\x00ab'), max_size=3)
+# the value kinds of one record column: ints, bools, None, strings, empty
+# and ragged int lists, int rows, mixed scalars, and the nested containers
+# that send a record list back to the stack walk
+RECORD_COLUMNS = st.sampled_from(
+    [
+        INTS,
+        st.booleans(),
+        st.none(),
+        st.text(max_size=4),
+        st.lists(INTS, max_size=3),
+        INT_ROWS,
+        st.none() | st.booleans() | INTS | st.text(max_size=2),
+        st.lists(INTS, max_size=2) | INT_ROWS,
+        st.dictionaries(st.text(max_size=2), INTS, max_size=2),
+        st.lists(st.fixed_dictionaries({"m": st.lists(INTS, max_size=2)}), max_size=2),
+    ]
+)
+# lists of records that share one key order, which the layout writes
+# through one template, beside lists of dicts with mixed key orders and
+# lists that hold a non-dict item
+RECORD_LISTS = (
+    st.lists(st.tuples(RECORD_KEYS, RECORD_COLUMNS), unique_by=lambda c: c[0], max_size=4).flatmap(
+        lambda columns: st.lists(st.fixed_dictionaries(dict(columns)), min_size=1, max_size=5)
+    )
+    | st.lists(st.dictionaries(RECORD_KEYS, INTS | st.none(), max_size=3), min_size=1, max_size=4)
+    | st.lists(st.fixed_dictionaries({"a": INTS}) | INTS, min_size=1, max_size=4)
+)
 # JSON trees with every leaf kind the layout writes: bool beside int,
 # 61-bit and negative ints, strings with quotes, backslashes, control
-# characters and non-ASCII, empty containers and lists of rows at any depth
+# characters and non-ASCII, empty containers and lists of rows and of
+# records at any depth
 JSON_TREES = st.recursive(
-    st.none() | st.booleans() | INTS | st.text(max_size=8) | INT_ROWS,
+    st.none() | st.booleans() | INTS | st.text(max_size=8) | INT_ROWS | RECORD_LISTS,
     lambda children: st.lists(children, max_size=6)
     | st.dictionaries(st.text(max_size=6), children, max_size=6),
     max_leaves=60,
 )
+ACCESS_STRUCTURE = derive_access_structure(
+    SchemeConfig(t=5, field=PrimeField(7), identities=range(1, 7))
+).to_dict()["structure"]
+AUDIT_VIOLATIONS = perfectness_report(
+    SchemeConfig(t=3, field=PrimeField(5), identities=range(1, 5))
+).to_dict()["violations"]
 
 
 @settings(max_examples=400, deadline=None)
@@ -547,7 +588,23 @@ JSON_TREES = st.recursive(
 @example([(1, 2), ((3,), ()), {"t": (True, None)}])
 @example({"h": [[0, 5], [1, -5]], "w": [[7], [8]], "e": [[], []], "r": [[1, 2], [3]]})
 @example([[[1, 0]], [[1, True]], [[1, 2], [3, [4]]], [[2**61 - 1, 1], [0, False]]])
+@example(
+    [
+        {"%s": 1, '"\\': "%d", "\u00e9": [], "": [[0, 5]]},
+        {"%s": 2, '"\\': "", "\u00e9": [3], "": [[1, 2]]},
+    ]
+)
+@example([{"a": 1, "b": 2}, {"b": 3, "a": 4}])
+@example(ACCESS_STRUCTURE)
+@example(AUDIT_VIOLATIONS)
 def test_layout_matches_json_dumps_indent_2(doc):
+    assert _layout(doc) == json.dumps(doc, indent=2)
+
+
+def test_layout_walks_records_nested_in_records():
+    """A list of records that holds records is descended by the stack
+    walk, so a nesting that json.dumps still lays out fits here too."""
+    doc = functools.reduce(lambda doc, _: [{"a": doc}], range(400), 1)
     assert _layout(doc) == json.dumps(doc, indent=2)
 
 

@@ -224,21 +224,31 @@ def _access_structure_by_definition(cfg):
     return per_index
 
 
-@pytest.mark.parametrize("t", [3, 4, 5, 6])
-def test_access_structure_matches_definitional_construction(t):
+def _definition_configs(t):
+    """Random identity sets of t and t + 2 members over the primes above
+    t; at t = 7, the explore benchmark's access-structure shape instead
+    (identities 1..10 at p = 11 and 13), where the privileged layers are
+    dense and extend many of the streamed t-subsets."""
+    if t == 7:
+        return [SchemeConfig(t=7, field=PrimeField(p), identities=range(1, 11)) for p in (11, 13)]
     rng = random.Random(t)
-    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31):
-        if p <= t:
-            continue
-        field = PrimeField(p)
-        for n in (t, min(p - 1, t + 2)):
-            cfg = SchemeConfig(t=t, field=field, identities=rng.sample(range(1, p), n))
-            structure = derive_access_structure(cfg)
-            got = [
-                [(a.members, a.kind) for a in structure.minimal_sets(j)]
-                for j in range(t - 1)
-            ]
-            assert got == _access_structure_by_definition(cfg), (t, p, cfg.identities)
+    return [
+        SchemeConfig(t=t, field=PrimeField(p), identities=rng.sample(range(1, p), n))
+        for p in (5, 7, 11, 13, 17, 19, 23, 29, 31)
+        if p > t
+        for n in (t, min(p - 1, t + 2))
+    ]
+
+
+@pytest.mark.parametrize("t", [3, 4, 5, 6, 7])
+def test_access_structure_matches_definitional_construction(t):
+    for cfg in _definition_configs(t):
+        structure = derive_access_structure(cfg)
+        got = [
+            [(a.members, a.kind) for a in structure.minimal_sets(j)]
+            for j in range(t - 1)
+        ]
+        assert got == _access_structure_by_definition(cfg), (t, cfg.field.p, cfg.identities)
 
 
 def test_privileged_sets_at_t7_p13_determine_their_coefficient():
