@@ -4,20 +4,26 @@ For every participant subset A (up to size t), every secret index j, and
 every set T of other secret indices assumed known, the auditor computes
 the exact conditional distribution of s_j given A's shares and T.  No
 coefficient vector is enumerated.  Each linear condition on the
-coefficient vector a (a share, a known secret, a coordinate forced to
-zero) is folded by `linalg.fold` into the coordinate functionals of the
-affine space of vectors that meet the conditions so far: a_i is fixed
-there exactly when its functional has no coefficient part, and the
-space has dimension t minus the number of conditions that were new.
-Each subset is folded from its prefix subset, one size at a time, and
-each known set from its prefix known set.  The coefficient domain
-(nonzero blinding, or every coefficient nonzero) is counted by
-inclusion-exclusion over the patterns Z of restricted coordinates forced
-to zero, walked depth first from each (subset, known set) space: each
-consistent pattern is again an affine space, signed by (-1)^|Z|, on
-which each s_j is either constant (adding p^dim to one value) or exactly
-uniform (adding p^(dim-1) to every value), so one walk counts every j.
-Verdicts come from these exact integer counts, never floating point:
+coefficient vector a is folded by the elimination kernel into the
+coordinate functionals of the affine space of vectors that meet the
+conditions so far: a share through `linalg.fold`, and a coordinate
+equation (a known secret, a coefficient forced to zero) through
+`linalg.fold_coordinate`, which rewrites that coordinate's functional
+directly.  a_i is fixed on the space exactly when its functional has no
+coefficient part, and the space has dimension t minus the number of
+conditions that were new.  Each subset is folded from its prefix subset,
+one size at a time, and each known set from its prefix known set.  The
+coefficient domain (nonzero blinding, or every coefficient nonzero) is
+counted by inclusion-exclusion over the patterns Z of restricted
+coordinates forced to zero, walked depth first from each (subset, known
+set) space: each consistent pattern is again an affine space, signed by
+(-1)^|Z|, on which each s_j is either constant (adding p^dim to one
+value) or exactly uniform (adding p^(dim-1) to every value), so one walk
+counts every j.  Many subsets and known sets fold to one space (every
+t-subset to the dealt vector alone), so a report counts and classifies
+each distinct space once and shares the result; nothing is kept from
+one report to the next.  Verdicts come from these exact integer counts,
+never floating point:
 
 * determined - a point mass (the subset pins the secret down),
 * uniform    - literally equal counts over the whole coefficient domain,
@@ -35,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import linalg
 from .errors import ParameterError, binomial_sum, bound_work
@@ -68,18 +75,20 @@ def _check_domain(domain: str) -> None:
 # an affine space of coefficient vectors: its coordinate functionals
 # (see linalg.fold) and its dimension
 Node = tuple[linalg.Functionals, int]
+# a node's count of domain points, the value counts of each secret on
+# them (see _value_counts) and each secret's verdict (see _classify)
+Summary = tuple[int, list[tuple[int, dict[int, int]]], list[str]]
 
 
 def _fix(node: Node, i: int, value: int, p: int) -> Node | None:
-    """The node with the equation a_i = value folded in: the same node
-    when a_i is already fixed at value there, None when at another."""
+    """The node with the equation a_i = value folded in
+    (`linalg.fold_coordinate`): the same node when a_i is already fixed
+    at value there, None when at another."""
     functionals, dim = node
-    f = functionals[i]
-    if any(f[:-1]):
-        row = [0] * len(f)
-        row[i], row[-1] = 1, value
-        return linalg.fold(functionals, row, p), dim - 1
-    return node if (f[-1] + value) % p == 0 else None
+    fixed = linalg.fold_coordinate(functionals, i, value, p)
+    if fixed is functionals:
+        return node
+    return None if fixed is None else (fixed, dim - 1)
 
 
 def _value_counts(
@@ -149,8 +158,7 @@ def _materialize(level: int, points: dict[int, int], p: int) -> tuple[tuple[int,
     return tuple((v, c) for v, c in counts if c)
 
 
-@dataclass(frozen=True)
-class AuditCell:
+class AuditCell(NamedTuple):
     """Verdict for one (subset, secret index, known-set) combination."""
 
     subset: Track
@@ -241,6 +249,20 @@ def perfectness_report(
         grown = linalg.fold(node[0], row, p)  # the dealt vector satisfies every share
         return node if grown is node[0] else (grown, node[1] - 1)
 
+    # the total, value counts and per-j verdicts of each distinct node,
+    # counted once in this report: subsets and known sets often fold to
+    # one space (every t-subset to the dealt vector alone)
+    summaries: dict[tuple, Summary] = {}
+
+    def summary(node: Node) -> Summary:
+        key = (tuple(map(tuple, node[0])), node[1])
+        found = summaries.get(key)
+        if found is None:
+            total, counts = _value_counts(node, t - 1, zeros, p)
+            verdicts = [_classify(level, points, p, domain) for level, points in counts]
+            found = summaries[key] = (total, counts, verdicts)
+        return found
+
     # the nodes of the subsets of one size, each folded from its prefix
     layer = {(): (linalg.unit_functionals(t), t)}
     for size in range(t + 1):
@@ -250,31 +272,29 @@ def perfectness_report(
                 for subset in itertools.combinations(cfg.identities, size)
             }
         for subset, node in layer.items():
-            total, counts = _value_counts(node, t - 1, zeros, p)
-            if not total:
+            by_known = {(): summary(node)}
+            if not by_known[()][0]:
                 notes.append(
                     f"subset {subset}: no vector of the {domain} domain matches these "
                     "shares (the dealt vector lies outside the domain)"
                 )
-                violations.append(
-                    AuditCell(subset=subset, j=-1, known=(), authorized=False, verdict=LEAKY)
-                )
+                violations.append(AuditCell(subset, -1, (), False, LEAKY))
                 continue
             nodes = {(): node}
-            by_known = {(): counts}
             for known in known_sets[1:]:
                 prefix, k = known[:-1], known[-1]
                 nodes[known] = _fix(nodes[prefix], k, dealt[k], p)  # the dealt vector lies on it
                 by_known[known] = (
                     by_known[prefix]
                     if nodes[known] is nodes[prefix]
-                    else _value_counts(nodes[known], t - 1, zeros, p)[1]
+                    else summary(nodes[known])
                 )
             # a_j is determined when the shares alone fix it
             authorized = [not any(node[0][j][:-1]) for j in secret_indices]
             for j, known in cell_keys:
-                level, points = by_known[known][j]
-                verdict = _classify(level, points, p, domain)
+                _, counts, verdicts = by_known[known]
+                level, points = counts[j]
+                verdict = verdicts[j]
                 ok = True
                 if authorized[j]:
                     ok = verdict == DETERMINED and level + points.get(dealt[j], 0) > 0
@@ -285,14 +305,8 @@ def perfectness_report(
                         f"subset {subset} j={j} known={known}: "
                         f"non-uniform under {ALL_NONZERO} (informational)"
                     )
-                cell = AuditCell(
-                    subset=subset,
-                    j=j,
-                    known=known,
-                    authorized=authorized[j],
-                    verdict=verdict,
-                    histogram=_materialize(level, points, p) if not ok else None,
-                )
+                histogram = None if ok else _materialize(level, points, p)
+                cell = AuditCell(subset, j, known, authorized[j], verdict, histogram)
                 cells.append(cell)
                 if not ok:
                     violations.append(cell)

@@ -7,7 +7,8 @@ files are written atomically (temp file + rename).
 
 JSON documents are written by `_layout`: the bytes of
 json.dumps(doc, indent=2), built from C-encoded leaves, %-formatted
-rows of ints and %-formatted lists of flat records filled column by
+rows of ints (one template per row width for a whole column of lists
+of rows) and %-formatted lists of flat records filled column by
 column.  The argument parser is built once per process, on the
 first call to `main`.
 
@@ -91,7 +92,8 @@ def _leaf(value: object, pad: str) -> str | None:
         if types == _INT:
             return "[" + pad + ("," + pad).join(map(int.__repr__, value)) + pad[:-2] + "]"
         if types == _LIST:
-            return _int_rows(value, pad)
+            texts = _int_rows((value,), pad)
+            return None if texts is None else texts[0]
         return _records(value, pad) if types == _DICT else None
     if value is None:
         return "null"
@@ -102,18 +104,30 @@ def _leaf(value: object, pad: str) -> str | None:
     return int.__repr__(value)
 
 
-def _int_rows(rows: list | tuple, pad: str) -> str | None:
-    """The JSON text of non-empty lists of ints, all of one width, whose
-    items start at `pad`: one % template per row; None for any other
-    list of lists."""
-    width = len(rows[0])
-    if not width or {*map(len, rows)} != {width}:
-        return None
-    if {*map(type, itertools.chain.from_iterable(rows))} != _INT:
+def _int_rows(column: list | tuple, pad: str) -> list[str] | None:
+    """The JSON texts of lists of rows whose items start at `pad`, each
+    list empty or holding non-empty rows of ints of one width: one %
+    row template per width, shared by the whole column; None when any
+    list is of another kind."""
+    widths = set()
+    for rows in column:
+        if rows:
+            width = len(rows[0])
+            if not width or {*map(len, rows)} != {width}:
+                return None
+            widths.add(width)
+    items = itertools.chain.from_iterable(itertools.chain.from_iterable(column))
+    if {*map(type, items)} - _INT:
         return None
     inner = pad + "  "
-    row = "[" + inner + ("," + inner).join(["%d"] * width) + pad + "]"
-    return "[" + pad + ("," + pad).join(map(row.__mod__, map(tuple, rows))) + pad[:-2] + "]"
+    templates = {w: "[" + inner + ("," + inner).join(["%d"] * w) + pad + "]" for w in widths}
+    start, sep, end = "[" + pad, "," + pad, pad[:-2] + "]"
+    return [
+        start + sep.join(map(templates[len(rows[0])].__mod__, map(tuple, rows))) + end
+        if rows
+        else "[]"
+        for rows in column
+    ]
 
 
 def _records(records: list | tuple, pad: str) -> str | None:
@@ -142,10 +156,8 @@ def _records(records: list | tuple, pad: str) -> str | None:
             texts = [start + sep.join(map(int.__repr__, v)) + end if v else "[]" for v in column]
         elif items != _LIST:
             return None
-        else:
-            texts = [_int_rows(v, deeper) if v else "[]" for v in column]
-            if None in texts:
-                return None
+        elif (texts := _int_rows(column, deeper)) is None:
+            return None
         columns.append(texts)
     fields = (_encode_string(k).replace("%", "%%") + ": %s" for k in keys)
     record = "{" + inner + ("," + inner).join(fields) + pad + "}"

@@ -7,8 +7,11 @@ and `solve_affine` is its back substitution: recovery from t or more
 shares goes through it.  `fold` folds an equation into the coordinate
 functionals of an affine space instead, so every coordinate's value,
 when fixed, can be read off without a back substitution: the audit's
-solution spaces go through it.  Matrices are lists of rows of
-integers; nothing here mutates its inputs.
+solution spaces go through it.  `fold_coordinate` is its entry for a
+coordinate equation x_i = value (a known secret, a coefficient forced
+to zero), rewritten straight from functional i; both entries end in the
+same pivot and elimination step (`_eliminate`).  Matrices are lists of
+rows of integers; nothing here mutates its inputs.
 """
 
 from __future__ import annotations
@@ -88,6 +91,27 @@ def fold(functionals: Functionals, row: list[int], p: int) -> Functionals | None
         if r:
             v = [a + r * b for a, b in zip(v, f)]
     v[-1] += row[-1]
+    return _eliminate(functionals, v, p)
+
+
+def fold_coordinate(
+    functionals: Functionals, i: int, value: int, p: int
+) -> Functionals | None:
+    """`fold` for the coordinate equation x_i = value.
+
+    Rewritten through the functionals, the equation is functionals[i]
+    with value added to its right-hand side, so no unit row is built and
+    no other functional is combined.  Returns what `fold` returns for
+    the unit row.
+    """
+    f = functionals[i]
+    return _eliminate(functionals, [*f[:-1], f[-1] + value], p)
+
+
+def _eliminate(functionals: Functionals, v: list[int], p: int) -> Functionals | None:
+    """The step `fold` and `fold_coordinate` end in: the equation v,
+    already rewritten through the functionals, scaled to 1 at a new
+    pivot and subtracted once from each functional nonzero there."""
     pivot = _pivot(v, p)
     if pivot is None:
         return None if v[-1] % p else functionals

@@ -21,6 +21,7 @@ from privcoal import (
     PrimeField,
     SchemeConfig,
     SecretVector,
+    audit,
     deal,
     perfectness_report,
 )
@@ -215,6 +216,37 @@ def test_report_seed_reproducibility():
     assert a.secret_vector == b.secret_vector
     assert a.passed == b.passed
     assert a.cells == b.cells
+
+
+@pytest.mark.parametrize("domain", [FULL_FIELD, ALL_NONZERO])
+def test_each_distinct_space_is_counted_and_classified_once_per_report(monkeypatch, domain):
+    """Subsets and known sets that fold to one affine space share its
+    counts and verdicts within a report; the next report, even of the
+    same instance, counts every space again."""
+    cfg = SchemeConfig(t=4, field=F7, identities=range(1, 7))
+    fresh = {seed: perfectness_report(cfg, domain=domain, seed=seed) for seed in (3, 5)}
+    counted, classified = [], []
+    value_counts, classify = audit._value_counts, audit._classify
+
+    def counting(node, *args):
+        counted.append((str(node[0]), node[1]))
+        return value_counts(node, *args)
+
+    def classifying(*args):
+        classified.append(args)
+        return classify(*args)
+
+    monkeypatch.setattr(audit, "_value_counts", counting)
+    monkeypatch.setattr(audit, "_classify", classifying)
+    spaces = []
+    for seed in (3, 5, 3):
+        counted.clear()
+        classified.clear()
+        assert perfectness_report(cfg, domain=domain, seed=seed) == fresh[seed]
+        assert counted and len(set(counted)) == len(counted)
+        assert len(classified) == (cfg.t - 1) * len(counted)
+        spaces.append(sorted(counted))
+    assert spaces[2] == spaces[0] != spaces[1]
 
 
 def test_report_to_dict():

@@ -537,8 +537,9 @@ INT_ROWS = st.integers(0, 3).flatmap(
 # escape, and the empty key
 RECORD_KEYS = st.text(st.sampled_from('%"\\\u00e9\x00ab'), max_size=3)
 # the value kinds of one record column: ints, bools, None, strings, empty
-# and ragged int lists, int rows, mixed scalars, and the nested containers
-# that send a record list back to the stack walk
+# and ragged int lists, int rows (one width per record, so a column mixes
+# widths) with and without empty lists of rows, mixed scalars, and the
+# nested containers that send a record list back to the stack walk
 RECORD_COLUMNS = st.sampled_from(
     [
         INTS,
@@ -547,6 +548,7 @@ RECORD_COLUMNS = st.sampled_from(
         st.text(max_size=4),
         st.lists(INTS, max_size=3),
         INT_ROWS,
+        st.just([]) | INT_ROWS,
         st.none() | st.booleans() | INTS | st.text(max_size=2),
         st.lists(INTS, max_size=2) | INT_ROWS,
         st.dictionaries(st.text(max_size=2), INTS, max_size=2),
@@ -595,6 +597,9 @@ AUDIT_VIOLATIONS = perfectness_report(
     ]
 )
 @example([{"a": 1, "b": 2}, {"b": 3, "a": 4}])
+@example([{"h": [[0, 5], [1, 2]]}, {"h": [[7]]}, {"h": []}, {"h": [[1, 2, 3]]}, {"h": [[8]]}])
+@example([{"h": [[0, 5]], "j": 1}, {"h": [[1, 2], [3]], "j": 2}])
+@example([{"h": [[0, 5]]}, {"h": [[]]}])
 @example(ACCESS_STRUCTURE)
 @example(AUDIT_VIOLATIONS)
 def test_layout_matches_json_dumps_indent_2(doc):

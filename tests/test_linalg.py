@@ -134,9 +134,13 @@ def test_fold_classifies_every_sequence_of_equations(p):
     verdict must match the points kept (all: the same list back; none:
     None; some: new functionals), and coordinate i must be fixed (its
     functional 0 left of the right-hand side) exactly when every kept
-    point has one value there, at -f[-1] mod p.
+    point has one value there, at -f[-1] mod p.  At every state reached,
+    `fold_coordinate` fixing coordinate i at each value must keep the
+    same points and give what `fold` gives for the unit row: the same
+    list, None, or equal functionals.
     """
     seen = {"implied": 0, "contradictory": 0, "new": 0}
+    coordinate = {"implied": 0, "contradictory": 0, "new": 0}
     for n in range(1, 4):
         points = list(itertools.product(range(p), repeat=n))
         everything = (1 << len(points)) - 1
@@ -160,6 +164,22 @@ def test_fold_classifies_every_sequence_of_equations(p):
         visited = {(str(start[0]), everything)}
         while stack:
             functionals, solutions = stack.pop()
+            for i, v in itertools.product(range(n), range(p)):
+                kept = solutions & at_value[i][v]
+                value = v + p * (v % 3 - 1)
+                unit = [int(k == i) for k in range(n)] + [value]
+                fixed = linalg.fold_coordinate(functionals, i, value, p)
+                folded = linalg.fold(functionals, unit, p)
+                case = (p, functionals, i, value)
+                if kept == solutions:
+                    assert fixed is functionals and folded is functionals, case
+                    coordinate["implied"] += 1
+                elif not kept:
+                    assert fixed is None and folded is None, case
+                    coordinate["contradictory"] += 1
+                else:
+                    assert fixed is not functionals and fixed == folded, case
+                    coordinate["new"] += 1
             for row, mask in equations:
                 kept = solutions & mask
                 grown = linalg.fold(functionals, row, p)
@@ -185,3 +205,4 @@ def test_fold_classifies_every_sequence_of_equations(p):
                     visited.add(key)
                     stack.append((grown, kept))
     assert all(seen.values()), seen
+    assert all(coordinate.values()), coordinate

@@ -151,3 +151,37 @@ def test_only_errors_holds_the_capacity_policy():
             if name in bounds or (name == "CapacityError" and uncaught):
                 found.append(f"{path.name}:{node.lineno}:{name}")
     assert not found
+
+
+def test_audit_reaches_linalg_only_through_its_public_names():
+    """Elimination stays in the one kernel: audit.py imports no
+    `_`-prefixed name from linalg and reads none off the module, so an
+    inline pivot or elimination step has to live in linalg.py as an
+    entry of the kernel."""
+    path = PACKAGE_DIR / "audit.py"
+    nodes = list(ast.walk(ast.parse(path.read_text(), filename=str(path))))
+    imports = [n for n in nodes if isinstance(n, ast.ImportFrom)]
+    module_names = {
+        alias.asname or alias.name
+        for n in imports
+        if n.module is None
+        for alias in n.names
+        if alias.name == "linalg"
+    }
+    assert module_names
+    private = [
+        f"{n.lineno}:{alias.name}"
+        for n in imports
+        if n.module == "linalg"
+        for alias in n.names
+        if alias.name.startswith("_")
+    ]
+    private += [
+        f"{n.lineno}:{n.attr}"
+        for n in nodes
+        if isinstance(n, ast.Attribute)
+        and isinstance(n.value, ast.Name)
+        and n.value.id in module_names
+        and n.attr.startswith("_")
+    ]
+    assert not private
