@@ -6,11 +6,11 @@ parameters) so results are reproducible from the output alone; output
 files are written atomically (temp file + rename).
 
 JSON documents are written by `_layout`: the bytes of
-json.dumps(doc, indent=2), built from C-encoded leaves, %-formatted
-rows of ints (one template per row width for a whole column of lists
-of rows) and %-formatted lists of flat records filled column by
-column.  The argument parser is built once per process, on the
-first call to `main`.
+json.dumps(doc, indent=2), built by one column writer (`_column`) that
+C-encodes scalars, writes each list of ints through one %d template
+per length and each list of records that share one key order through
+one % template filled column by column.  The argument parser is built
+once per process, on the first call to `main`.
 
 Exit codes: 0 success, 2 parameter error, 3 authorization error,
 4 capacity error: an audit, enumeration walk, access structure or
@@ -51,11 +51,12 @@ EXIT_PARAMETER = 2
 EXIT_AUTHORIZATION = 3
 EXIT_CAPACITY = 4
 
-_INT = {int}  # the item types of a list written with one join; bool is not int
+# the value types of a column that `_column` writes; bool is not int
+_INT = {int}
 _STR = {str}
-_SCALAR = {int, str, bool, type(None)}  # the value types `_records` writes through `_leaf`
-_LIST = {list}  # the item types of a list that `_int_rows` may write
-_DICT = {dict}  # the item types of a list that `_records` may write
+_SCALAR = {int, str, bool, type(None)}
+_SEQUENCE = {list, tuple}
+_DICT = {dict}
 
 
 def _manifest(
@@ -78,9 +79,9 @@ def _manifest(
 
 
 def _leaf(value: object, pad: str) -> str | None:
-    """The JSON text of a scalar, an empty container, a list of ints, a
-    list of int rows (`_int_rows`) or a list of flat records (`_records`)
-    whose items start at `pad`; None for any other container."""
+    """The JSON text of a scalar, an empty container or a list that
+    `_column` writes, whose items start at `pad`; None for a non-empty
+    dict and any other list."""
     if isinstance(value, str):
         return _encode_string(value)
     if isinstance(value, (dict, list, tuple)):
@@ -88,13 +89,8 @@ def _leaf(value: object, pad: str) -> str | None:
             return "{}" if isinstance(value, dict) else "[]"
         if isinstance(value, dict):
             return None
-        types = {*map(type, value)}
-        if types == _INT:
-            return "[" + pad + ("," + pad).join(map(int.__repr__, value)) + pad[:-2] + "]"
-        if types == _LIST:
-            texts = _int_rows((value,), pad)
-            return None if texts is None else texts[0]
-        return _records(value, pad) if types == _DICT else None
+        texts = _column((value,), pad)
+        return None if texts is None else texts[0]
     if value is None:
         return "null"
     if value is True:
@@ -104,75 +100,81 @@ def _leaf(value: object, pad: str) -> str | None:
     return int.__repr__(value)
 
 
-def _int_rows(column: list | tuple, pad: str) -> list[str] | None:
-    """The JSON texts of lists of rows whose items start at `pad`, each
-    list empty or holding non-empty rows of ints of one width: one %
-    row template per width, shared by the whole column; None when any
-    list is of another kind."""
-    widths = set()
-    for rows in column:
-        if rows:
-            width = len(rows[0])
-            if not width or {*map(len, rows)} != {width}:
-                return None
-            widths.add(width)
-    items = itertools.chain.from_iterable(itertools.chain.from_iterable(column))
-    if {*map(type, items)} - _INT:
-        return None
-    inner = pad + "  "
-    templates = {w: "[" + inner + ("," + inner).join(["%d"] * w) + pad + "]" for w in widths}
-    start, sep, end = "[" + pad, "," + pad, pad[:-2] + "]"
-    return [
-        start + sep.join(map(templates[len(rows[0])].__mod__, map(tuple, rows))) + end
-        if rows
-        else "[]"
-        for rows in column
-    ]
+def _column(values: list | tuple, pad: str) -> list[str] | None:
+    """The JSON texts of values at one depth, whose items start at
+    `pad`, written in one pass; None when any value, at any depth, is of
+    another kind.
 
-
-def _records(records: list | tuple, pad: str) -> str | None:
-    """The JSON text of dicts of scalars, int lists and int rows that
-    share one non-empty key order, whose items start at `pad`: one %
-    template with the keys C-encoded, filled column by column; None for
-    any other list of dicts, which `_layout` descends."""
-    keys = tuple(records[0])
-    if not keys or {*map(tuple, records)} != {keys}:
-        return None
-    inner = pad + "  "
-    deeper = inner + "  "
-    columns = []
-    for column in zip(*map(dict.values, records)):
-        types = {*map(type, column)}
+    Scalars are C-encoded.  The items of lists are written as one column
+    a level deeper and cut back per list; lists of ints take one %d
+    template per length instead.  Dicts that share one key order are
+    written through one % template with the keys C-encoded, filled
+    column by column.  Mixed containers, key orders that differ and
+    records held in a record's column, at any depth, give None, and
+    `_layout` descends them: the columns are written from the deepest
+    up, so each text is copied once per column above it, and the walk
+    keeps a chain of records from costing its depth squared.
+    """
+    jobs = [(values, pad, False)]  # (values, pad, inside a record)
+    # per job, its texts, or the slice of the jobs that hold its columns
+    texts: list[list[str] | slice | None] = []
+    for values, pad, in_record in jobs:
+        types = {*map(type, values)}
         if types == _INT:
-            texts = map(int.__repr__, column)
+            texts.append([*map(int.__repr__, values)])
         elif types == _STR:
-            texts = map(_encode_string, column)
+            texts.append([*map(_encode_string, values)])
         elif types <= _SCALAR:
-            texts = [_leaf(v, deeper) for v in column]
-        elif types != _LIST:
+            texts.append([_leaf(v, pad) for v in values])
+        elif types <= _SEQUENCE:
+            if {*map(type, itertools.chain.from_iterable(values))} <= _INT:
+                start, sep, end = "[" + pad, "," + pad, pad[:-2] + "]"
+                templates = {
+                    n: start + sep.join(["%d"] * n) + end if n else "[]"
+                    for n in {*map(len, values)}
+                }
+                texts.append([templates[len(v)] % tuple(v) for v in values])
+            else:
+                texts.append(slice(len(jobs), len(jobs) + 1))
+                jobs.append(([*itertools.chain.from_iterable(values)], pad + "  ", in_record))
+        elif in_record or types != _DICT or {*map(tuple, values)} != {keys := tuple(values[0])}:
             return None
-        elif (items := {*map(type, itertools.chain.from_iterable(column))}) <= _INT:
-            start, sep, end = "[" + deeper, "," + deeper, deeper[:-2] + "]"
-            texts = [start + sep.join(map(int.__repr__, v)) + end if v else "[]" for v in column]
-        elif items != _LIST:
-            return None
-        elif (texts := _int_rows(column, deeper)) is None:
-            return None
-        columns.append(texts)
-    fields = (_encode_string(k).replace("%", "%%") + ": %s" for k in keys)
-    record = "{" + inner + ("," + inner).join(fields) + pad + "}"
-    return "[" + pad + ("," + pad).join(map(record.__mod__, zip(*columns))) + pad[:-2] + "]"
+        elif keys:
+            texts.append(slice(len(jobs), len(jobs) + len(keys)))
+            jobs.extend((column, pad + "  ", True) for column in zip(*map(dict.values, values)))
+        else:
+            texts.append(["{}"] * len(values))
+    for k in reversed(range(len(jobs))):
+        parts = texts[k]
+        if type(parts) is slice:
+            values, pad, _ = jobs[k]
+            sep = "," + pad
+            # each column is read once: dropping it holds about one level at a time
+            columns = texts[parts]
+            texts[parts] = [None] * len(columns)
+            if type(values[0]) is dict:
+                fields = (_encode_string(key).replace("%", "%%") + ": %s" for key in values[0])
+                record = "{" + pad + sep.join(fields) + pad[:-2] + "}"
+                texts[k] = [*map(record.__mod__, zip(*columns))]
+            else:
+                start, end = "[" + pad, pad[:-2] + "]"
+                cut = iter(columns[0])
+                texts[k] = [
+                    start + sep.join(itertools.islice(cut, len(v))) + end if v else "[]"
+                    for v in values
+                ]
+    return texts[0]
 
 
 def _layout(doc: object) -> str:
     """The text of json.dumps(doc, indent=2), byte for byte.
 
     json.dumps lays out an indented document in pure Python.  Here every
-    leaf comes from the C encoder (`_leaf`), a list of flat records is one
-    leaf written through one template (`_records`), and a container whose
-    items are all leaves is written with one join; only deeper containers
-    are descended, through an explicit stack of (items, closing text)
-    pairs, so nesting depth is not bounded by recursion.
+    scalar comes from the C encoder (`_leaf`), a list that `_column` can
+    write in one pass is one leaf, and a container whose items are all
+    leaves is written with one join; only dicts and the lists `_column`
+    refuses are descended, through an explicit stack of (items, closing
+    text) pairs, so nesting depth is not bounded by recursion.
     """
     out: list[str] = []
     stack = [(iter((("", doc, _leaf(doc, "\n  ")),)), "")]
@@ -320,12 +322,15 @@ def _cmd_table(args: argparse.Namespace) -> int:
         bound_held(args.t - 2, lambda: f"the default j range 1..{args.t - 2} exceeds")
     j_list = _parse_int_list(args.j) if args.j else list(range(1, args.t - 1))
     grid: dict[int, dict[int, dict]] = {}
+    # t <= p for every prime, so a cell's lengths do not depend on its prime
+    lengths: dict[int, range] = {}
     for p, field in zip(primes, fields):
         grid[p] = {}
         for j in j_list:
             report = minimal_privileged_coalitions(
                 CoalitionQuery(t=args.t, j=j, field=field, n_max=args.N)
             )
+            lengths[j] = report.query.lengths
             grid[p][j] = {
                 "count": report.count,
                 "r_min": report.r_min,
@@ -348,11 +353,6 @@ def _cmd_table(args: argparse.Namespace) -> int:
         _emit(_layout(doc), args.output)
         return EXIT_OK
     if args.per_length:
-        # t <= p for every prime, so a cell's lengths do not depend on its prime
-        lengths = {
-            j: CoalitionQuery(t=args.t, j=j, field=fields[0], n_max=args.N).lengths
-            for j in j_list
-        }
         header = ["p"] + [f"j={j}:r={r}" for j in j_list for r in lengths[j]]
         lines = [",".join(header)]
         for p in primes:

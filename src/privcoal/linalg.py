@@ -1,43 +1,25 @@
 """Gaussian elimination over F_p, one equation at a time.
 
 The one elimination kernel of the package, in two forms that share the
-pivot-and-scale step (`_pivot`).  `extend_echelon` folds an equation
-into an echelon and says whether it is new, implied or contradictory,
-and `solve_affine` is its back substitution: recovery from t or more
-shares goes through it.  `fold` folds an equation into the coordinate
-functionals of an affine space instead, so every coordinate's value,
-when fixed, can be read off without a back substitution: the audit's
-solution spaces go through it.  `fold_coordinate` is its entry for a
-coordinate equation x_i = value (a known secret, a coefficient forced
-to zero), rewritten straight from functional i; both entries end in the
-same pivot and elimination step (`_eliminate`).  Matrices are lists of
-rows of integers; nothing here mutates its inputs.
+pivot-and-scale step (`_pivot`).  `solve_affine` reduces each equation
+against the pivot rows kept so far and back-substitutes: recovery from
+t or more shares goes through it.  `fold` folds an equation into the
+coordinate functionals of an affine space instead, so every
+coordinate's value, when fixed, can be read off without a back
+substitution: the audit's solution spaces go through it.
+`fold_coordinate` is its entry for a coordinate equation x_i = value (a
+known secret, a coefficient forced to zero), rewritten straight from
+functional i; both entries end in the same pivot and elimination step
+(`_eliminate`).  Matrices are lists of rows of integers; nothing here
+mutates its inputs.
 """
 
 from __future__ import annotations
 
 from operator import mul
 
-# (pivot column, row) pairs, as built by extend_echelon
-Echelon = list[tuple[int, list[int]]]
 # one augmented vector f per coordinate, as built by fold
 Functionals = list[list[int]]
-
-
-def reduce_row(echelon: Echelon, row: list[int], p: int) -> list[int]:
-    """The row minus its components along the echelon rows, taken in order.
-
-    Each echelon row is 1 at its pivot and 0 at the pivots of the rows
-    before it, so one pass in order leaves the result 0 at every pivot.
-    The result is all zero exactly when the row lies in the echelon's
-    row span.
-    """
-    v = [x % p for x in row]
-    for col, base in echelon:
-        f = v[col]
-        if f:
-            v = [(a - f * b) % p for a, b in zip(v, base)]
-    return v
 
 
 def _pivot(v: list[int], p: int) -> tuple[int, list[int]] | None:
@@ -49,21 +31,6 @@ def _pivot(v: list[int], p: int) -> tuple[int, list[int]] | None:
             inv = pow(v[col], -1, p)
             return col, [x * inv % p for x in v]
     return None
-
-
-def extend_echelon(echelon: Echelon, row: list[int], p: int) -> Echelon | None:
-    """Add one equation to an echelon of augmented rows (last entry the
-    right-hand side).
-
-    Returns the same echelon when the equation is implied by it, a new
-    one a row longer when it is independent, and None when it
-    contradicts the equations already there.
-    """
-    v = reduce_row(echelon, row, p)
-    pivot = _pivot(v, p)
-    if pivot is None:
-        return None if v[-1] else echelon
-    return echelon + [pivot]
 
 
 def unit_functionals(n: int) -> Functionals:
@@ -131,18 +98,30 @@ def solve_affine(
     system is inconsistent.  With no constraints that is the zero
     vector of F_p^ncols.
 
-    The rows are folded into an echelon and read back last-first: each
-    echelon row is 0 left of its pivot and at the pivots of the rows
-    before it, so every entry it multiplies is already solved.
+    Each augmented row loses its components along the pivot rows kept
+    so far, taken in order: each pivot row is 1 at its pivot and 0 at
+    the pivots before it, so one pass leaves the row 0 at every pivot.
+    A row left zero is implied, one left zero but for its right-hand
+    side is a contradiction, and any other gives a new pivot row.  The
+    pivot rows are then read back last-first: each is 0 left of its
+    pivot and at the pivots before it, so every entry it multiplies is
+    already solved.
     """
-    echelon: Echelon = []
+    pivots: list[tuple[int, list[int]]] = []
     for row, b in zip(rows, rhs):
-        echelon = extend_echelon(echelon, [*row, b], p)
-        if echelon is None:
+        v = [x % p for x in row] + [b % p]
+        for col, base in pivots:
+            f = v[col]
+            if f:
+                v = [(a - f * c) % p for a, c in zip(v, base)]
+        pivot = _pivot(v, p)
+        if pivot is not None:
+            pivots.append(pivot)
+        elif v[-1]:
             return None
     # map(mul, row, x) stops before the right-hand side, and
     # x[col] is still 0 when its own row is read
     particular = [0] * ncols
-    for col, row in reversed(echelon):
+    for col, row in reversed(pivots):
         particular[col] = (row[-1] - sum(map(mul, row, particular))) % p
     return particular

@@ -4,10 +4,11 @@ The dealer hides t-1 secrets s_0..s_{t-2} as the low coefficients of a
 degree-(t-1) polynomial whose top coefficient is a nonzero blinding
 value, and hands participant i the evaluation at its public identity.
 Any t participants recover the whole coefficient vector by one t x t
-solve, and a privileged coalition of r < t its own coefficient by the
-paper's cofactor expansion (`recover_privileged`), whose terms needing
-the missing t-r shares provably vanish.  `recover` sends fewer than t
-shares to the formula and t or more to the solve.
+solve (`linalg.solve_affine`: one reduction pass per share, then a back
+substitution), and a privileged coalition of r < t its own coefficient
+by the paper's cofactor expansion (`recover_privileged`), whose terms
+needing the missing t-r shares provably vanish.  `recover` sends fewer
+than t shares to the formula and t or more to the solve.
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ package: strictly increasing, pairwise distinct, nonzero residues.  The
 symmetric-function ladder tau_0..tau_r of a track (`elem_sym_all`, read
 by index) drives the extension condition and the paper's coalition
 recovery formula, and the power rows (`power_rows`) every linear system
-over the shares: the t x t solve and the audit's folds.
+over the shares: the t x t solve (`linalg.solve_affine`) and the audit's
+folds (`linalg.fold`).
 """
 
 from __future__ import annotations

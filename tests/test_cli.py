@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import privcoal
 from privcoal.audit import perfectness_report
-from privcoal.cli import _layout, build_parser, main
+from privcoal.cli import _column, _layout, build_parser, main
 from privcoal.field import PrimeField
 from privcoal.scheme import SchemeConfig, derive_access_structure
 
@@ -525,8 +525,8 @@ def test_one_parser_serves_calls_back_to_back(capsys):
 
 
 INTS = st.integers(min_value=-(2**62), max_value=2**62)
-# lists of int rows, which the layout writes one row at a time when all
-# rows have one width (here 0-3), and the shapes beside them: ragged,
+# lists of int rows, which the column writer writes through one %d
+# template per row width (here 0-3), and the shapes beside them: ragged,
 # empty and width-1 rows, bools among the ints, rows nested a level deeper
 INT_ROWS = st.integers(0, 3).flatmap(
     lambda width: st.lists(st.lists(INTS, min_size=width, max_size=width), min_size=1, max_size=5)
@@ -539,7 +539,7 @@ RECORD_KEYS = st.text(st.sampled_from('%"\\\u00e9\x00ab'), max_size=3)
 # the value kinds of one record column: ints, bools, None, strings, empty
 # and ragged int lists, int rows (one width per record, so a column mixes
 # widths) with and without empty lists of rows, mixed scalars, and the
-# nested containers that send a record list back to the stack walk
+# records, bare or in lists, that send a record list back to the stack walk
 RECORD_COLUMNS = st.sampled_from(
     [
         INTS,
@@ -555,9 +555,9 @@ RECORD_COLUMNS = st.sampled_from(
         st.lists(st.fixed_dictionaries({"m": st.lists(INTS, max_size=2)}), max_size=2),
     ]
 )
-# lists of records that share one key order, which the layout writes
-# through one template, beside lists of dicts with mixed key orders and
-# lists that hold a non-dict item
+# lists of records that share one key order, which the column writer
+# fills through one template, beside lists of dicts with mixed key orders
+# and lists that hold a non-dict item
 RECORD_LISTS = (
     st.lists(st.tuples(RECORD_KEYS, RECORD_COLUMNS), unique_by=lambda c: c[0], max_size=4).flatmap(
         lambda columns: st.lists(st.fixed_dictionaries(dict(columns)), min_size=1, max_size=5)
@@ -567,10 +567,18 @@ RECORD_LISTS = (
 )
 # JSON trees with every leaf kind the layout writes: bool beside int,
 # 61-bit and negative ints, strings with quotes, backslashes, control
-# characters and non-ASCII, empty containers and lists of rows and of
-# records at any depth
+# characters and non-ASCII, empty containers, and lists of rows and of
+# records, bare or a list deeper (one column cut back per list), at any
+# depth
 JSON_TREES = st.recursive(
-    st.none() | st.booleans() | INTS | st.text(max_size=8) | INT_ROWS | RECORD_LISTS,
+    st.none()
+    | st.booleans()
+    | INTS
+    | st.text(max_size=8)
+    | INT_ROWS
+    | RECORD_LISTS
+    | st.lists(INT_ROWS, max_size=4)
+    | st.lists(RECORD_LISTS, max_size=4),
     lambda children: st.lists(children, max_size=6)
     | st.dictionaries(st.text(max_size=6), children, max_size=6),
     max_leaves=60,
@@ -600,6 +608,12 @@ AUDIT_VIOLATIONS = perfectness_report(
 @example([{"h": [[0, 5], [1, 2]]}, {"h": [[7]]}, {"h": []}, {"h": [[1, 2, 3]]}, {"h": [[8]]}])
 @example([{"h": [[0, 5]], "j": 1}, {"h": [[1, 2], [3]], "j": 2}])
 @example([{"h": [[0, 5]]}, {"h": [[]]}])
+@example([[{"a": 1}], [], [{"a": 2}, {"a": 3}]])
+@example([["x", "y"], [], ["z"]])
+@example([[True, None], [0]])
+@example([[[1, 2]], [[3]], []])
+@example([{"a": [{"b": 1}], "c": 2}, {"a": [], "c": 3}])
+@example([{"a": [{"b": 1}]}, {"a": [2]}])
 @example(ACCESS_STRUCTURE)
 @example(AUDIT_VIOLATIONS)
 def test_layout_matches_json_dumps_indent_2(doc):
@@ -608,9 +622,36 @@ def test_layout_matches_json_dumps_indent_2(doc):
 
 def test_layout_walks_records_nested_in_records():
     """A list of records that holds records is descended by the stack
-    walk, so a nesting that json.dumps still lays out fits here too."""
-    doc = functools.reduce(lambda doc, _: [{"a": doc}], range(400), 1)
-    assert _layout(doc) == json.dumps(doc, indent=2)
+    walk, and lists in lists are written column by column in a loop, so
+    no nesting that json.dumps lays out is bounded by recursion here;
+    records a list deeper fit even where json.dumps itself needs a
+    larger recursion limit."""
+    records = functools.reduce(lambda doc, _: [{"a": doc}], range(400), 1)
+    lists = functools.reduce(lambda doc, _: [doc], range(400), 1)
+    listed_records = functools.reduce(lambda doc, _: [[{"a": doc}]], range(400), 1)
+    for doc in (records, lists):
+        assert _layout(doc) == json.dumps(doc, indent=2)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 1000)
+    try:
+        expected = json.dumps(listed_records, indent=2)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert _layout(listed_records) == expected
+
+
+def test_column_leaves_records_in_records_to_the_walk():
+    """The column writer builds each text from the texts a level deeper,
+    so a chain of records written by it would copy its inner text once
+    per level; records held in a record's column, at any depth, are left
+    to the stack walk instead, which writes each level once.  Records
+    that are only a list deeper are still one column."""
+    pad = "\n    "
+    assert _column([{"a": [{"b": 1}]}], pad) is None
+    assert _column([{"a": [[{"b": 1}]]}, {"a": []}], pad) is None
+    assert _column([{"a": {"b": 1}}], pad) is None
+    nested = [[{"a": 1}], [], [{"a": 2}, {"a": 3}]]
+    assert _column([nested], pad) == [json.dumps(nested, indent=2).replace("\n", "\n  ")]
 
 
 def run_python(*args):

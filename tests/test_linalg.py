@@ -77,50 +77,6 @@ def test_solve_affine_matches_brute_force(p):
     assert all(seen.values()), seen
 
 
-@pytest.mark.parametrize("p", PRIMES)
-def test_extend_echelon_classifies_each_new_equation(p):
-    """On a consistent system, a new equation keeps every solution
-    (implied: the same echelon back), keeps none (contradictory: None)
-    or cuts the set (independent: one row more)."""
-    rng = random.Random(100 + p)
-    seen = {"implied": 0, "contradictory": 0, "independent": 0}
-    for ncols in range(1, 5):
-        for rows, rhs in linear_systems(p, ncols, rng):
-            solutions = affine_solutions(rows, rhs, p, ncols)
-            if not solutions:
-                continue
-            echelon = []
-            for row, b in zip(rows, rhs):
-                echelon = linalg.extend_echelon(echelon, [*row, b], p)
-                assert echelon is not None
-            coefs = [rng.randrange(p) for _ in rows]
-            combined = [sum(c * r[i] for c, r in zip(coefs, rows)) for i in range(ncols)]
-            combined_b = sum(c * y for c, y in zip(coefs, rhs))
-            candidates = [
-                [*combined, combined_b],
-                [*combined, combined_b + rng.randrange(1, p)],
-                [rng.randrange(p) for _ in range(ncols + 1)],
-            ]
-            for aug in candidates:
-                kept = {
-                    x for x in solutions
-                    if (sum(a * v for a, v in zip(aug, x)) - aug[-1]) % p == 0
-                }
-                grown = linalg.extend_echelon(echelon, aug, p)
-                case = (p, rows, rhs, aug)
-                if kept == solutions:
-                    assert grown is echelon, case
-                    seen["implied"] += 1
-                elif not kept:
-                    assert grown is None, case
-                    seen["contradictory"] += 1
-                else:
-                    assert grown is not None and grown[:-1] == echelon, case
-                    assert len(grown) == len(echelon) + 1, case
-                    seen["independent"] += 1
-    assert all(seen.values()), seen
-
-
 @pytest.mark.parametrize("p", (2, 3, 5))
 def test_fold_classifies_every_sequence_of_equations(p):
     """Every sequence of augmented equations over at most 3 unknowns,
